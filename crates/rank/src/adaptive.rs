@@ -45,6 +45,12 @@
 //! replay, cross-checks) with fixed execution without a bit of drift.
 //! Top-k runs ride the same contract: only the stopping batch moves,
 //! never the sample schedule.
+//!
+//! **Fixed budgets.** [`AdaptiveRunner::fixed`] drives the same batch
+//! loop with no stopping rule: every batch runs, no certificate is
+//! stamped, and the scores are bit-identical to the engine's one-shot
+//! estimate. It exists so fixed-trial requests share the runner's
+//! between-batch deadline poll and batch hook.
 
 use biorank_graph::QueryGraph;
 
@@ -107,8 +113,10 @@ pub struct AdaptiveOutcome {
     pub poll_nanos: u64,
 }
 
-/// Drives an incremental [`Estimator`] with bound-certified early
-/// termination.
+/// Drives an incremental [`Estimator`] batch by batch: with
+/// bound-certified early termination ([`new`](Self::new) +
+/// [`run`](Self::run)), or over the engine's whole budget
+/// ([`fixed`](Self::fixed) + [`run_fixed`](Self::run_fixed)).
 ///
 /// The engine's own `trials` is the hard ceiling; `epsilon` is the
 /// smallest separation the caller needs ranked correctly and `delta`
@@ -116,10 +124,11 @@ pub struct AdaptiveOutcome {
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveRunner<E> {
     engine: E,
-    epsilon: f64,
-    delta: f64,
+    /// The `(ε, δ)` stopping rule; `None` in fixed-budget mode.
+    rule: Option<(f64, f64)>,
     top_k: Option<usize>,
     deadline: Option<std::time::Instant>,
+    batch_hook: Option<fn()>,
 }
 
 impl<E: Estimator> AdaptiveRunner<E> {
@@ -128,10 +137,26 @@ impl<E: Estimator> AdaptiveRunner<E> {
     pub fn new(engine: E, epsilon: f64, delta: f64) -> Self {
         AdaptiveRunner {
             engine,
-            epsilon,
-            delta,
+            rule: Some((epsilon, delta)),
             top_k: None,
             deadline: None,
+            batch_hook: None,
+        }
+    }
+
+    /// Wraps `engine` in fixed-budget mode: [`run_fixed`](Self::run_fixed)
+    /// executes every batch of the engine's schedule with no stopping
+    /// rule and no certificate — bit-identical to the engine's own
+    /// [`Estimator::drive`] — while still honoring the deadline and
+    /// the batch hook. [`run`](Self::run) rejects a runner without a
+    /// stopping rule.
+    pub fn fixed(engine: E) -> Self {
+        AdaptiveRunner {
+            engine,
+            rule: None,
+            top_k: None,
+            deadline: None,
+            batch_hook: None,
         }
     }
 
@@ -165,6 +190,15 @@ impl<E: Estimator> AdaptiveRunner<E> {
         self
     }
 
+    /// Calls `hook` after every estimator batch, before the
+    /// certification and deadline polls. A hook can delay the run (the
+    /// service's fault-injected stall) but never reshape its sample
+    /// schedule.
+    pub fn with_batch_hook(mut self, hook: fn()) -> Self {
+        self.batch_hook = Some(hook);
+        self
+    }
+
     /// The wrapped engine.
     pub fn engine(&self) -> &E {
         &self.engine
@@ -172,9 +206,47 @@ impl<E: Estimator> AdaptiveRunner<E> {
 
     /// Runs batches until the ranking certifies or the ceiling hits.
     pub fn run(&self, q: &QueryGraph) -> Result<AdaptiveOutcome, Error> {
-        validate_params(self.epsilon, self.delta)?;
+        let (epsilon, delta) = self.rule.unwrap_or((f64::NAN, f64::NAN));
+        for (name, value) in [("epsilon", epsilon), ("delta", delta)] {
+            if !(value > 0.0 && value < 1.0) {
+                return Err(Error::InvalidParameter { name, value });
+            }
+        }
+        // Checking every gap IS full certification, whatever `k` the
+        // caller spelled it with — stamping it `Full` lets the result
+        // satisfy full-coverage consumers (e.g. cache reuse) without a
+        // bit-identical re-run.
+        let full_gaps = q.answers().len().saturating_sub(1);
+        let checked_gaps = self.top_k.map_or(full_gaps, |k| k.min(full_gaps));
+        let mode = match self.top_k {
+            Some(k) if checked_gaps < full_gaps => CertificateMode::TopK(k as u32),
+            _ => CertificateMode::Full,
+        };
+        let run = self.drive(q, Some((checked_gaps, epsilon, delta)))?;
+        Ok(AdaptiveOutcome {
+            scores: run.scores,
+            certificate: Certificate {
+                trials_used: run.trials_used,
+                epsilon: bounds::resolvable_epsilon(u64::from(run.trials_used), delta)?,
+                certified: run.certified,
+                mode,
+            },
+            step_nanos: run.step_nanos,
+            poll_nanos: run.poll_nanos,
+        })
+    }
+
+    /// Runs every batch of the engine's schedule, ignoring any stopping
+    /// rule (see [`fixed`](Self::fixed)).
+    pub fn run_fixed(&self, q: &QueryGraph) -> Result<Scores, Error> {
+        Ok(self.drive(q, None)?.scores)
+    }
+
+    /// The batch loop behind both modes. `rule` is
+    /// `(checked_gaps, ε, δ)` of the stopping rule, `None` to run the
+    /// whole budget.
+    fn drive(&self, q: &QueryGraph, rule: Option<(usize, f64, f64)>) -> Result<Drive, Error> {
         let answers = q.answers();
-        let (checked_gaps, mode) = checked_gaps_and_mode(answers.len(), self.top_k);
         let step_start = std::time::Instant::now();
         let mut state = self.engine.begin(q)?;
         let mut step_nanos = step_start.elapsed().as_nanos() as u64;
@@ -191,12 +263,23 @@ impl<E: Estimator> AdaptiveRunner<E> {
             let stats = self.engine.step(&mut state, b);
             step_nanos += step_start.elapsed().as_nanos() as u64;
             trials_used = stats.total_trials;
-            let poll_start = std::time::Instant::now();
-            let done = self.certifies(&state, answers, checked_gaps, &mut est, trials_used);
-            poll_nanos += poll_start.elapsed().as_nanos() as u64;
-            if done {
-                certified = true;
-                break;
+            if let Some(hook) = self.batch_hook {
+                hook();
+            }
+            if let Some((checked_gaps, epsilon, delta)) = rule {
+                let poll_start = std::time::Instant::now();
+                let done = checked_gaps == 0 || {
+                    // Per-answer estimates only — polling the full
+                    // node-bound snapshot every 64 trials would
+                    // dominate the check.
+                    self.engine.estimates_into(&state, answers, &mut est);
+                    sorted_gaps_certified(&mut est, checked_gaps, epsilon, delta, trials_used)
+                };
+                poll_nanos += poll_start.elapsed().as_nanos() as u64;
+                if done {
+                    certified = true;
+                    break;
+                }
             }
             // Deadline poll AFTER the certification check: a batch that
             // certifies on time is never discarded by a deadline that
@@ -207,81 +290,23 @@ impl<E: Estimator> AdaptiveRunner<E> {
                 }
             }
         }
-        Ok(AdaptiveOutcome {
+        Ok(Drive {
             scores: self.engine.finish(state),
-            certificate: Certificate {
-                trials_used,
-                epsilon: bounds::resolvable_epsilon(u64::from(trials_used), self.delta)?,
-                certified,
-                mode,
-            },
+            trials_used,
+            certified,
             step_nanos,
             poll_nanos,
         })
     }
-
-    /// The stopping rule: each of the leading `checked_gaps` gaps
-    /// between sorted answer estimates is resolved by `trials` trials
-    /// or excused by the ε floor. "Gap `g` is resolved by `n` trials"
-    /// is checked directly as `n ≥ trials_needed(g, δ)`
-    /// ([`bounds::resolves`]) — equivalent to
-    /// `g ≥ resolvable_epsilon(n, δ)` by monotonicity, but one cheap
-    /// closed-form evaluation per gap instead of a 200-step bisection
-    /// per batch (the bisection runs once, at the end, to stamp the
-    /// certificate).
-    fn certifies(
-        &self,
-        state: &E::State<'_>,
-        answers: &[biorank_graph::NodeId],
-        checked_gaps: usize,
-        est: &mut Vec<f64>,
-        trials: u32,
-    ) -> bool {
-        if checked_gaps == 0 {
-            return true;
-        }
-        // Per-answer estimates only — polling the full node-bound
-        // snapshot every 64 trials would dominate the check.
-        self.engine.estimates_into(state, answers, est);
-        sorted_gaps_certified(est, checked_gaps, self.epsilon, self.delta, trials)
-    }
 }
 
-/// Rejects an (ε, δ) pair outside `(0, 1)`.
-///
-/// Shared by [`AdaptiveRunner::run`] and the fused multi-query runner
-/// ([`crate::fused`]), which admits each job's parameters
-/// independently.
-pub(crate) fn validate_params(epsilon: f64, delta: f64) -> Result<(), Error> {
-    for (name, value) in [("epsilon", epsilon), ("delta", delta)] {
-        if !(value > 0.0 && value < 1.0) {
-            return Err(Error::InvalidParameter { name, value });
-        }
-    }
-    Ok(())
-}
-
-/// How many leading sorted-estimate gaps the stopping rule must
-/// resolve, and the certificate mode that contract is stamped with:
-/// all `answers − 1` gaps for full certification; the `k − 1` prefix
-/// gaps plus the boundary gap (= `k`) for top-k. Checking every gap IS
-/// full certification, whatever `k` the caller spelled it with —
-/// stamping it `Full` lets the result satisfy full-coverage consumers
-/// (e.g. cache reuse) without a bit-identical re-run.
-pub(crate) fn checked_gaps_and_mode(
-    answers: usize,
-    top_k: Option<usize>,
-) -> (usize, CertificateMode) {
-    let full_gaps = answers.saturating_sub(1);
-    let checked_gaps = match top_k {
-        Some(k) => k.min(full_gaps),
-        None => full_gaps,
-    };
-    let mode = match top_k {
-        Some(k) if checked_gaps < full_gaps => CertificateMode::TopK(k as u32),
-        _ => CertificateMode::Full,
-    };
-    (checked_gaps, mode)
+/// What one pass of [`AdaptiveRunner::drive`] produced.
+struct Drive {
+    scores: Scores,
+    trials_used: u32,
+    certified: bool,
+    step_nanos: u64,
+    poll_nanos: u64,
 }
 
 /// The certification predicate over one poll's answer estimates:
@@ -293,7 +318,7 @@ pub(crate) fn checked_gaps_and_mode(
 /// one cheap closed-form evaluation per gap instead of a 200-step
 /// bisection per batch (the bisection runs once, at the end, to stamp
 /// the certificate).
-pub(crate) fn sorted_gaps_certified(
+fn sorted_gaps_certified(
     est: &mut [f64],
     checked_gaps: usize,
     epsilon: f64,
@@ -577,6 +602,93 @@ mod tests {
             .unwrap();
         assert_eq!(plain.scores.as_slice(), deadlined.scores.as_slice());
         assert_eq!(plain.certificate, deadlined.certificate);
+    }
+
+    #[test]
+    fn fixed_mode_matches_engine_score_bits() {
+        let q = biorank_graph::generate::layered_workflow(
+            &biorank_graph::generate::WorkflowParams::default(),
+            23,
+        );
+        for (trials, seed) in [(1_000u32, 1u64), (777, 2), (64, 1)] {
+            let fixed = AdaptiveRunner::fixed(WordMc::new(trials, seed))
+                .run_fixed(&q)
+                .unwrap();
+            let solo = WordMc::new(trials, seed).score(&q).unwrap();
+            assert_eq!(fixed.as_slice(), solo.as_slice(), "{trials}/{seed}");
+            let fixed = AdaptiveRunner::fixed(TraversalMc::new(trials, seed))
+                .run_fixed(&q)
+                .unwrap();
+            let solo = TraversalMc::new(trials, seed).score(&q).unwrap();
+            assert_eq!(fixed.as_slice(), solo.as_slice(), "{trials}/{seed}");
+        }
+    }
+
+    #[test]
+    fn fixed_mode_rejects_zero_trials_and_certification() {
+        let q = separated_star();
+        assert!(matches!(
+            AdaptiveRunner::fixed(WordMc::new(0, 1)).run_fixed(&q),
+            Err(Error::ZeroTrials)
+        ));
+        // A fixed runner has no stopping rule to certify with.
+        assert!(matches!(
+            AdaptiveRunner::fixed(WordMc::new(128, 1)).run(&q),
+            Err(Error::InvalidParameter {
+                name: "epsilon",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn fixed_mode_expired_deadline_aborts_after_one_batch() {
+        let q = separated_star();
+        let deadline = std::time::Instant::now() - std::time::Duration::from_millis(1);
+        let err = AdaptiveRunner::fixed(WordMc::new(1_000_000, 1))
+            .with_deadline(deadline)
+            .run_fixed(&q)
+            .unwrap_err();
+        match err {
+            Error::DeadlineExceeded { trials_used } => {
+                assert!(trials_used >= 64, "at least one batch folded");
+                assert!(trials_used < 1_000_000, "aborted well short of budget");
+            }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fixed_mode_generous_deadline_matches_undeadlined_bits() {
+        let q = separated_star();
+        let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+        let deadlined = AdaptiveRunner::fixed(WordMc::new(2_000, 3))
+            .with_deadline(far)
+            .run_fixed(&q)
+            .unwrap();
+        assert_eq!(
+            deadlined.as_slice(),
+            WordMc::new(2_000, 3).score(&q).unwrap().as_slice()
+        );
+    }
+
+    #[test]
+    fn batch_hook_runs_once_per_batch() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static CALLS: AtomicU32 = AtomicU32::new(0);
+        fn hook() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+        }
+        let q = separated_star();
+        let hooked = AdaptiveRunner::fixed(WordMc::new(1_000, 4))
+            .with_batch_hook(hook)
+            .run_fixed(&q)
+            .unwrap();
+        assert_eq!(CALLS.load(Ordering::Relaxed), 16, "ceil(1000 / 64) batches");
+        assert_eq!(
+            hooked.as_slice(),
+            WordMc::new(1_000, 4).score(&q).unwrap().as_slice()
+        );
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub enum Strategy {
     /// Graph reductions then traversal Monte Carlo on the residual
     /// ([`crate::ReducedMc`], the paper's R&M configuration).
     ReducedMc,
-    /// Word-parallel Monte Carlo, 64 trials per machine word
-    /// ([`crate::WordMc`]) — solo or fused into a concurrent sweep.
+    /// Word-parallel Monte Carlo, 64 trials per machine word and 8
+    /// words per propagation sweep ([`crate::WordMc`]).
     WordMc,
     /// Per-trial traversal Monte Carlo ([`crate::TraversalMc`], the
     /// paper's reference engine M).

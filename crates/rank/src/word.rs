@@ -13,14 +13,14 @@
 //! reach[y] |= reach[x] & edge_mask[x→y] & node_mask[y]
 //! ```
 //!
-//! The engine is **lane-generic**: `WordMc<W>` propagates `W` 64-trial
-//! batches per sweep as a `[u64; W]` block, so the inner loop above
-//! vectorizes and the per-sweep bookkeeping (topo walk, offsets,
-//! target loads) amortizes over `64·W` trials. Lane `l` of block `k`
-//! *is* global batch `k·W + l` of the 1-lane schedule — each lane
-//! draws from the stream seeded by `(seed, batch)` — so every lane
-//! width produces bit-identical scores and identical adaptive
-//! certificates to `WordMc<1>`.
+//! The engine propagates 8 batches per sweep as one
+//! `[u64; 8]` block, so the inner loop above vectorizes and the
+//! per-sweep bookkeeping (topo walk, offsets, target loads) amortizes
+//! over 512 trials. Lane `l` of block `k` *is* batch `8k + l` of the
+//! schedule — each lane draws from the stream seeded by
+//! `(seed, batch)` — so the block layout is invisible in the results:
+//! scores and adaptive certificates are those of the original
+//! one-mask-per-sweep engine, bit for bit.
 //!
 //! On a DAG — every query graph the paper's mediator produces — one
 //! pass in topological order is exact; cyclic graphs fall back to a
@@ -30,7 +30,7 @@
 //! sweep reads node state, edge masks, and targets as forward streams
 //! rather than striding dense-id order. Per-node popcounts accumulate
 //! the reach counters, so 10 000 trials collapse into 157 linear
-//! sweeps (20 blocks at `W = 8`).
+//! sweeps (20 blocks).
 //!
 //! Masks are drawn by a bit-sliced fixed-point comparison
 //! ([`bernoulli_word`]): 64 uniform draws compare against `p` in
@@ -39,8 +39,8 @@
 //! expectation instead of 64, which is where most of the speed-up over
 //! per-trial sampling comes from. Elements with `p ≥ 1` or `p ≤ 0`
 //! are excluded from the draw schedule entirely (their masks are
-//! constant), exactly matching the 1-lane engine's no-consumption
-//! early returns.
+//! constant), exactly matching [`bernoulli_word`]'s no-consumption
+//! early returns, so the RNG stream contract is unchanged.
 //!
 //! All mask, reach, and popcount buffers come from a thread-local
 //! arena and are leased for the lifetime of a run: zero heap
@@ -50,9 +50,9 @@
 //! **Determinism contract:** batch `b` draws from its own RNG stream
 //! seeded by a SplitMix64 mix of `(seed, b)`, and batch counts merge
 //! by addition. The estimate therefore depends only on
-//! `(trials, seed)` — never on the thread count or lane width — so
+//! `(trials, seed)` — never on the thread count — so
 //! [`WordMc::score_parallel`] is bit-identical for every `threads`
-//! and `W` value, and results stay coherent across a result cache.
+//! value, and results stay coherent across a result cache.
 
 use std::sync::Arc;
 
@@ -69,13 +69,13 @@ use crate::{Error, Ranker, Scores};
 /// everyone's batch size).
 const BATCH: u32 = BATCH_TRIALS;
 
-/// Word-parallel Monte Carlo: `W` 64-trial lanes per propagation pass.
-///
-/// `WordMc` (no parameter) is the 1-lane engine; `WordMc::<8>::wide`
-/// builds the block engine the service and benches run. Every width
-/// is bit-identical — see the module docs.
+/// 64-trial batches propagated together in one sweep.
+const LANES: usize = 8;
+
+/// Word-parallel Monte Carlo: eight 64-trial batches per propagation
+/// pass.
 #[derive(Clone, Copy, Debug)]
-pub struct WordMc<const W: usize = 1> {
+pub struct WordMc {
     /// Number of independent trials (`n` in the paper).
     pub trials: u32,
     /// RNG seed; equal seeds give equal estimates.
@@ -83,19 +83,9 @@ pub struct WordMc<const W: usize = 1> {
 }
 
 impl WordMc {
-    /// Creates a 1-lane word-parallel sampler with the given trial
-    /// count and seed.
+    /// Creates a word-parallel sampler with the given trial count and
+    /// seed.
     pub fn new(trials: u32, seed: u64) -> Self {
-        WordMc { trials, seed }
-    }
-}
-
-impl<const W: usize> WordMc<W> {
-    /// Creates a `W`-lane word-parallel sampler. Bit-identical to the
-    /// 1-lane [`WordMc::new`] engine at every width; wider lanes only
-    /// trade memory for propagation throughput.
-    pub fn wide(trials: u32, seed: u64) -> Self {
-        const { assert!(W >= 1, "lane width must be at least 1") };
         WordMc { trials, seed }
     }
 
@@ -116,7 +106,7 @@ impl<const W: usize> WordMc<W> {
             .dense(q.source())
             .expect("query source is live by construction");
         let plan = WidePlan::new(Arc::clone(&csr), source);
-        let blocks = self.trials.div_ceil(BATCH).div_ceil(W as u32);
+        let blocks = self.trials.div_ceil(BATCH).div_ceil(LANES as u32);
         let threads = threads.clamp(1, blocks as usize);
         // Contiguous block ranges, one per thread; the shared fan-out
         // driver runs them and merges by addition. Any partition is
@@ -133,7 +123,7 @@ impl<const W: usize> WordMc<W> {
             .collect();
         let counts = merge_unit_counts(ranges.len(), threads, csr.node_count(), |i| {
             let mut partial = vec![0u64; csr.node_count()];
-            let mut scratch = WideScratch::<W>::for_plan(&plan);
+            let mut scratch = WideScratch::for_plan(&plan);
             run_blocks(
                 &plan,
                 ranges[i].clone(),
@@ -149,7 +139,7 @@ impl<const W: usize> WordMc<W> {
 }
 
 /// Maps dense CSR reach counts back onto original node ids as scores.
-pub(crate) fn project(csr: &CsrGraph, counts: &[u64], trials: u32, node_bound: usize) -> Scores {
+fn project(csr: &CsrGraph, counts: &[u64], trials: u32, node_bound: usize) -> Scores {
     let n = f64::from(trials.max(1));
     let mut scores = Scores::zeroed(node_bound);
     for (i, &c) in counts.iter().enumerate() {
@@ -162,8 +152,8 @@ pub(crate) fn project(csr: &CsrGraph, counts: &[u64], trials: u32, node_bound: u
 ///
 /// Runs lease their mask/reach/popcount buffers here and return them
 /// on drop, so repeated queries on a warm thread never touch the
-/// allocator: the service's fusion sweeps and the adaptive runner both
-/// churn through engines at query rate.
+/// allocator: the service's adaptive runner churns through engines at
+/// query rate.
 mod arena {
     use std::cell::RefCell;
 
@@ -195,12 +185,12 @@ mod arena {
 /// with their fixed-point thresholds precomputed; certain-present
 /// elements are prefilled `!0` once per scratch and certain-absent
 /// ones stay zero.
-pub(crate) struct WidePlan {
-    pub(crate) csr: Arc<CsrGraph>,
+struct WidePlan {
+    csr: Arc<CsrGraph>,
     /// Node count: node mask slots are `0..n`, edge slots `n..n + e`.
-    pub(crate) n: usize,
+    n: usize,
     /// Edge count.
-    pub(crate) e: usize,
+    e: usize,
     /// Sweep position of the query source node.
     source_pos: usize,
     /// `(mask slot, ⌊p·2³²⌋)` per uncertain element, pinned draw order.
@@ -210,7 +200,7 @@ pub(crate) struct WidePlan {
 }
 
 impl WidePlan {
-    pub(crate) fn new(csr: Arc<CsrGraph>, source_dense: u32) -> WidePlan {
+    fn new(csr: Arc<CsrGraph>, source_dense: u32) -> WidePlan {
         let layout = csr.topo_layout();
         let n = csr.node_count();
         let e = csr.edge_count();
@@ -243,37 +233,36 @@ impl WidePlan {
     }
 }
 
-/// Per-run working buffers for a `W`-lane engine, leased from the
-/// thread-local arena. Lane `l` of mask slot `s` is word `s·W + l`,
-/// so a propagation step reads each block as one contiguous
-/// `[u64; W]`.
-pub(crate) struct WideScratch<const W: usize> {
-    /// Element inclusion masks: `(n + e)·W` words, certain slots
+/// Per-run working buffers, leased from the thread-local arena. Lane
+/// `l` of mask slot `s` is word `s·LANES + l`, so a propagation step
+/// reads each block as one contiguous `[u64; LANES]`.
+struct WideScratch {
+    /// Element inclusion masks: `(n + e)·LANES` words, certain slots
     /// prefilled.
     masks: Vec<u64>,
-    /// Reach masks per sweep position: `n·W` words.
+    /// Reach masks per sweep position: `n·LANES` words.
     reach: Vec<u64>,
     /// Per-position per-lane popcounts of the last propagated block:
-    /// `n·W` words, overwritten per block.
+    /// `n·LANES` words, overwritten per block.
     block_counts: Vec<u64>,
 }
 
-impl<const W: usize> WideScratch<W> {
-    pub(crate) fn for_plan(plan: &WidePlan) -> WideScratch<W> {
-        let mut masks = arena::lease((plan.n + plan.e) * W);
+impl WideScratch {
+    fn for_plan(plan: &WidePlan) -> WideScratch {
+        let mut masks = arena::lease((plan.n + plan.e) * LANES);
         for &slot in &plan.certain {
-            let base = slot as usize * W;
-            masks[base..base + W].fill(!0);
+            let base = slot as usize * LANES;
+            masks[base..base + LANES].fill(!0);
         }
         WideScratch {
             masks,
-            reach: arena::lease(plan.n * W),
-            block_counts: arena::lease(plan.n * W),
+            reach: arena::lease(plan.n * LANES),
+            block_counts: arena::lease(plan.n * LANES),
         }
     }
 }
 
-impl<const W: usize> Drop for WideScratch<W> {
+impl Drop for WideScratch {
     fn drop(&mut self) {
         arena::reclaim(std::mem::take(&mut self.masks));
         arena::reclaim(std::mem::take(&mut self.reach));
@@ -284,32 +273,23 @@ impl<const W: usize> Drop for WideScratch<W> {
 /// Draws lane `lane`'s element masks from the RNG stream `stream_seed`
 /// (i.e. [`batch_seed`] of the lane's global batch index).
 ///
-/// The draw order and per-element word consumption are exactly the
-/// 1-lane engine's, so the lane reproduces that batch bit for bit.
-pub(crate) fn draw_lane<const W: usize>(
-    plan: &WidePlan,
-    scratch: &mut WideScratch<W>,
-    lane: usize,
-    stream_seed: u64,
-) {
+/// The draw order and per-element word consumption are pinned by the
+/// plan, so a batch's masks never depend on the lane that draws them.
+fn draw_lane(plan: &WidePlan, scratch: &mut WideScratch, lane: usize, stream_seed: u64) {
     let mut rng = StdRng::seed_from_u64(stream_seed);
     for &(slot, pfx) in &plan.draws {
-        scratch.masks[slot as usize * W + lane] = bernoulli_word_pfx(&mut rng, pfx);
+        scratch.masks[slot as usize * LANES + lane] = bernoulli_word_pfx(&mut rng, pfx);
     }
 }
 
-/// Propagates one `W`-lane block of reach masks and banks per-lane
-/// popcounts into the scratch.
+/// Propagates one block of reach masks and banks per-lane popcounts
+/// into the scratch.
 ///
 /// `valid[l]` gates lane `l` at the source: `!0` for a full batch, a
 /// low-bit prefix for the schedule's partial final batch, `0` for an
 /// idle lane (its stale masks are harmless — reach only flows from
 /// the source, so a zeroed source lane is zero everywhere).
-pub(crate) fn propagate_block<const W: usize>(
-    plan: &WidePlan,
-    scratch: &mut WideScratch<W>,
-    valid: &[u64; W],
-) {
+fn propagate_block(plan: &WidePlan, scratch: &mut WideScratch, valid: &[u64; LANES]) {
     let layout = plan.csr.topo_layout();
     let n = plan.n;
     let WideScratch {
@@ -319,8 +299,8 @@ pub(crate) fn propagate_block<const W: usize>(
     } = scratch;
     reach.fill(0);
     let sp = plan.source_pos;
-    for l in 0..W {
-        reach[sp * W + l] = masks[sp * W + l] & valid[l];
+    for l in 0..LANES {
+        reach[sp * LANES + l] = masks[sp * LANES + l] & valid[l];
     }
     let ltargets = layout.targets();
     if plan.csr.is_dag() {
@@ -328,15 +308,15 @@ pub(crate) fn propagate_block<const W: usize>(
         // every predecessor block is final before its node is visited
         // and one forward pass is exact.
         for pos in 0..n {
-            let mut rx = [0u64; W];
-            rx.copy_from_slice(&reach[pos * W..pos * W + W]);
+            let mut rx = [0u64; LANES];
+            rx.copy_from_slice(&reach[pos * LANES..pos * LANES + LANES]);
             if rx.iter().all(|&x| x == 0) {
                 continue;
             }
             for slot in layout.out_range(pos as u32) {
-                let y = ltargets[slot] as usize * W;
-                let em = (n + slot) * W;
-                for l in 0..W {
+                let y = ltargets[slot] as usize * LANES;
+                let em = (n + slot) * LANES;
+                for l in 0..LANES {
                     reach[y + l] |= rx[l] & masks[em + l] & masks[y + l];
                 }
             }
@@ -349,15 +329,15 @@ pub(crate) fn propagate_block<const W: usize>(
         for _ in 0..n {
             let mut changed = false;
             for pos in 0..n {
-                let mut rx = [0u64; W];
-                rx.copy_from_slice(&reach[pos * W..pos * W + W]);
+                let mut rx = [0u64; LANES];
+                rx.copy_from_slice(&reach[pos * LANES..pos * LANES + LANES]);
                 if rx.iter().all(|&x| x == 0) {
                     continue;
                 }
                 for slot in layout.out_range(pos as u32) {
-                    let y = ltargets[slot] as usize * W;
-                    let em = (n + slot) * W;
-                    for l in 0..W {
+                    let y = ltargets[slot] as usize * LANES;
+                    let em = (n + slot) * LANES;
+                    for l in 0..LANES {
                         let add = rx[l] & masks[em + l] & masks[y + l];
                         if add & !reach[y + l] != 0 {
                             reach[y + l] |= add;
@@ -377,21 +357,16 @@ pub(crate) fn propagate_block<const W: usize>(
 }
 
 /// Adds lane `lane`'s banked popcounts into `counts` (dense indexing).
-pub(crate) fn fold_lane<const W: usize>(
-    plan: &WidePlan,
-    scratch: &WideScratch<W>,
-    lane: usize,
-    counts: &mut [u64],
-) {
+fn fold_lane(plan: &WidePlan, scratch: &WideScratch, lane: usize, counts: &mut [u64]) {
     let dense_of_pos = plan.csr.topo_layout().dense_of_pos();
     for (pos, &d) in dense_of_pos.iter().enumerate() {
-        counts[d as usize] += scratch.block_counts[pos * W + lane];
+        counts[d as usize] += scratch.block_counts[pos * LANES + lane];
     }
 }
 
 /// The source-gating mask of batch `batch` under a total budget of
 /// `trials`: all-ones except for the schedule's partial final batch.
-pub(crate) fn batch_valid(batch: u32, trials: u32) -> u64 {
+fn batch_valid(batch: u32, trials: u32) -> u64 {
     let last = trials.div_ceil(BATCH) - 1;
     match trials % BATCH {
         rem if rem != 0 && batch == last => !0u64 >> (BATCH - rem),
@@ -401,19 +376,19 @@ pub(crate) fn batch_valid(batch: u32, trials: u32) -> u64 {
 
 /// Runs blocks `blocks` of the `(trials, seed)` schedule, adding
 /// per-node reach popcounts into `counts` (dense indexing).
-fn run_blocks<const W: usize>(
+fn run_blocks(
     plan: &WidePlan,
     blocks: std::ops::Range<u32>,
     trials: u32,
     seed: u64,
-    scratch: &mut WideScratch<W>,
+    scratch: &mut WideScratch,
     counts: &mut [u64],
 ) {
     let num_batches = trials.div_ceil(BATCH);
     for blk in blocks {
-        let first = blk * W as u32;
-        let active = (W as u32).min(num_batches - first) as usize;
-        let mut valid = [0u64; W];
+        let first = blk * LANES as u32;
+        let active = (LANES as u32).min(num_batches - first) as usize;
+        let mut valid = [0u64; LANES];
         for (l, v) in valid.iter_mut().enumerate().take(active) {
             let b = first + l as u32;
             draw_lane(plan, scratch, l, batch_seed(seed, b));
@@ -427,23 +402,23 @@ fn run_blocks<const W: usize>(
 }
 
 /// In-progress state of an incremental [`WordMc`] run.
-pub struct WordState<const W: usize = 1> {
+pub struct WordState {
     plan: WidePlan,
     counts: Vec<u64>,
-    scratch: WideScratch<W>,
+    scratch: WideScratch,
     node_bound: usize,
     trials_done: u32,
     trials_total: u32,
 }
 
-impl<const W: usize> Estimator for WordMc<W> {
-    type State<'q> = WordState<W>;
+impl Estimator for WordMc {
+    type State<'q> = WordState;
 
     fn trials(&self) -> u32 {
         self.trials
     }
 
-    fn begin<'q>(&self, q: &'q QueryGraph) -> Result<WordState<W>, Error> {
+    fn begin(&self, q: &QueryGraph) -> Result<WordState, Error> {
         if self.trials == 0 {
             return Err(Error::ZeroTrials);
         }
@@ -464,7 +439,7 @@ impl<const W: usize> Estimator for WordMc<W> {
         })
     }
 
-    fn step(&self, state: &mut WordState<W>, batch: u32) -> BatchStats {
+    fn step(&self, state: &mut WordState, batch: u32) -> BatchStats {
         debug_assert_eq!(batch * BATCH, state.trials_done, "batches in order");
         let WordState {
             plan,
@@ -472,16 +447,17 @@ impl<const W: usize> Estimator for WordMc<W> {
             scratch,
             ..
         } = state;
-        let lane = batch as usize % W;
+        let lane = batch as usize % LANES;
         if lane == 0 {
-            // Block boundary: draw and propagate the next W batches in
-            // one sweep. Later steps of the block only fold their
+            // Block boundary: draw and propagate the next LANES batches
+            // in one sweep. Later steps of the block only fold their
             // lane's banked popcounts, so per-step trial accounting —
-            // and any adaptive stop point — is identical to W = 1; a
-            // mid-block stop merely wastes the propagated tail lanes.
+            // and any adaptive stop point — stays at 64-trial
+            // granularity; a mid-block stop merely wastes the
+            // propagated tail lanes.
             let num_batches = state.trials_total.div_ceil(BATCH);
-            let active = W.min((num_batches - batch) as usize);
-            let mut valid = [0u64; W];
+            let active = LANES.min((num_batches - batch) as usize);
+            let mut valid = [0u64; LANES];
             for (l, v) in valid.iter_mut().enumerate().take(active) {
                 let b = batch + l as u32;
                 draw_lane(plan, scratch, l, batch_seed(self.seed, b));
@@ -499,7 +475,7 @@ impl<const W: usize> Estimator for WordMc<W> {
         }
     }
 
-    fn snapshot(&self, state: &WordState<W>) -> Scores {
+    fn snapshot(&self, state: &WordState) -> Scores {
         project(
             &state.plan.csr,
             &state.counts,
@@ -508,7 +484,7 @@ impl<const W: usize> Estimator for WordMc<W> {
         )
     }
 
-    fn estimate(&self, state: &WordState<W>, node: biorank_graph::NodeId) -> f64 {
+    fn estimate(&self, state: &WordState, node: biorank_graph::NodeId) -> f64 {
         state
             .plan
             .csr
@@ -518,12 +494,12 @@ impl<const W: usize> Estimator for WordMc<W> {
             .unwrap_or(0.0)
     }
 
-    fn finish(&self, state: WordState<W>) -> Scores {
+    fn finish(&self, state: WordState) -> Scores {
         self.snapshot(&state)
     }
 }
 
-impl<const W: usize> Ranker for WordMc<W> {
+impl Ranker for WordMc {
     fn name(&self) -> &'static str {
         "Rel(wordMC)"
     }
@@ -592,7 +568,7 @@ fn bernoulli_word_pfx(rng: &mut StdRng, pfx: u64) -> u64 {
 /// depends only on `(seed, b)` — while making stream collisions
 /// hash-unlikely instead of systematic.
 #[inline]
-pub(crate) fn batch_seed(seed: u64, b: u32) -> u64 {
+fn batch_seed(seed: u64, b: u32) -> u64 {
     let mut z = seed ^ u64::from(b).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -674,8 +650,6 @@ mod tests {
         for trials in [1u32, 63, 65, 1000] {
             let est = WordMc::new(trials, 5).score(&q).unwrap().get(t);
             assert_eq!(est, 1.0, "trials {trials}");
-            let wide = WordMc::<8>::wide(trials, 5).score(&q).unwrap().get(t);
-            assert_eq!(wide, 1.0, "trials {trials} (8-lane)");
         }
     }
 
@@ -741,20 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_width_never_changes_bits() {
-        // The tentpole's contract: every lane width (and every thread
-        // count at every width) reproduces the 1-lane engine exactly.
-        let q = generate::layered_workflow(&generate::WorkflowParams::default(), 23);
-        for trials in [64u32, 1_000, 1_001] {
-            let narrow = WordMc::new(trials, 9).score_parallel(&q, 1).unwrap();
-            let w4 = WordMc::<4>::wide(trials, 9).score_parallel(&q, 1).unwrap();
-            let w8 = WordMc::<8>::wide(trials, 9).score_parallel(&q, 3).unwrap();
-            assert_eq!(narrow.as_slice(), w4.as_slice(), "W=4 trials={trials}");
-            assert_eq!(narrow.as_slice(), w8.as_slice(), "W=8 trials={trials}");
-        }
-    }
-
-    #[test]
     fn deterministic_for_fixed_seed() {
         let (q, _) = diamond();
         let a = WordMc::new(1_000, 5).score(&q).unwrap();
@@ -806,10 +766,6 @@ mod tests {
         let est = WordMc::new(40_000, 4).score(&q).unwrap().get(t);
         let truth = exact::enumerate(q.graph(), q.source(), t).unwrap();
         assert!((est - truth).abs() < 0.01, "{est} vs {truth}");
-        // And the wide engine's cyclic sweep must agree bit for bit.
-        let narrow = WordMc::new(2_000, 4).score(&q).unwrap();
-        let wide = WordMc::<8>::wide(2_000, 4).score(&q).unwrap();
-        assert_eq!(narrow.as_slice(), wide.as_slice());
     }
 
     #[test]

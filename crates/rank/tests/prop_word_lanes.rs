@@ -1,27 +1,21 @@
-//! Bit-identity proofs for the wide-lane word engine and fused sweeps.
+//! Bit-identity proofs for the 8-lane word engine.
 //!
-//! The whole wide-lane design rests on one contract: batch `b` of a
-//! `(trials, seed)` schedule draws from the RNG stream keyed
-//! `(seed, b)` no matter which lane of which block — of whose sweep —
-//! executes it. These tests pin that contract three ways:
+//! The engine propagates eight 64-trial batches per sweep, and rests
+//! on one contract: batch `b` of a `(trials, seed)` schedule draws
+//! from the RNG stream keyed `(seed, b)` no matter which lane of which
+//! block executes it. These tests pin that contract two ways:
 //!
 //! 1. **Golden bits** — score hashes, adaptive trial counts, and
-//!    certificates recorded from the pre-widening single-mask engine;
-//!    any schedule drift fails these against history, not against a
+//!    certificates recorded from the original single-mask engine; any
+//!    schedule drift fails these against history, not against a
 //!    sibling that drifted identically.
-//! 2. **Lane-width properties** — on arbitrary small DAGs,
-//!    `WordMc<1>`, `WordMc<4>`, and `WordMc<8>` (serial or under any
-//!    thread count) produce byte-identical scores and identical
-//!    adaptive certificates.
-//! 3. **Fusion properties** — `run_fused` over a batch of jobs
-//!    returns, per job, exactly the bytes and certificate its solo
-//!    execution returns.
+//! 2. **Execution-path properties** — on arbitrary small DAGs, every
+//!    thread split of `score_parallel` and the adaptive runner's
+//!    fixed-budget mode produce byte-identical scores to `score`.
 
 use biorank_graph::generate::{self, WorkflowParams};
 use biorank_graph::{NodeId, Prob, ProbGraph, QueryGraph};
-use biorank_rank::{
-    run_fused, AdaptiveRunner, Certificate, FusedJob, FusedOutcome, FusedPolicy, Ranker, WordMc,
-};
+use biorank_rank::{AdaptiveRunner, Ranker, WordMc};
 use proptest::prelude::*;
 
 fn p(v: f64) -> Prob {
@@ -130,32 +124,14 @@ fn golden_fixed_bits_survive_every_lane_width() {
     let graphs = goldens();
     for &(name, trials, seed, want) in GOLDEN_FIXED {
         let q = &graphs.iter().find(|(n, _)| *n == name).unwrap().1;
-        for (width, got) in [
-            (
-                1,
-                fnv(WordMc::new(trials, seed).score(q).unwrap().as_slice()),
-            ),
-            (
-                4,
-                fnv(WordMc::<4>::wide(trials, seed).score(q).unwrap().as_slice()),
-            ),
-            (
-                8,
-                fnv(WordMc::<8>::wide(trials, seed).score(q).unwrap().as_slice()),
-            ),
-        ] {
-            assert_eq!(
-                got, want,
-                "{name} ({trials} trials, seed {seed}) drifted at width {width}"
-            );
-        }
+        let got = fnv(WordMc::new(trials, seed).score(q).unwrap().as_slice());
+        assert_eq!(got, want, "{name} ({trials} trials, seed {seed}) drifted");
     }
 }
 
-/// Runs one adaptive execution over any engine width (the closure
-/// form would monomorphize to a single width).
-fn adaptive_run<E: biorank_rank::Estimator>(
-    engine: E,
+/// Runs one adaptive execution of the word engine.
+fn adaptive_run(
+    engine: WordMc,
     epsilon: f64,
     top_k: Option<usize>,
     q: &QueryGraph,
@@ -172,26 +148,16 @@ fn golden_adaptive_certificates_survive_every_lane_width() {
     let graphs = goldens();
     for &(name, epsilon, top_k, trials_used, certified, want) in GOLDEN_ADAPTIVE {
         let q = &graphs.iter().find(|(n, _)| *n == name).unwrap().1;
-        let check = |out: biorank_rank::AdaptiveOutcome, width: usize| {
-            assert_eq!(
-                (out.certificate.trials_used, out.certificate.certified),
-                (trials_used, certified),
-                "{name} (eps {epsilon}, top_k {top_k:?}) certificate drifted at width {width}"
-            );
-            assert_eq!(
-                fnv(out.scores.as_slice()),
-                want,
-                "{name} (eps {epsilon}, top_k {top_k:?}) scores drifted at width {width}"
-            );
-        };
-        check(adaptive_run(WordMc::new(10_000, 7), epsilon, top_k, q), 1);
-        check(
-            adaptive_run(WordMc::<4>::wide(10_000, 7), epsilon, top_k, q),
-            4,
+        let out = adaptive_run(WordMc::new(10_000, 7), epsilon, top_k, q);
+        assert_eq!(
+            (out.certificate.trials_used, out.certificate.certified),
+            (trials_used, certified),
+            "{name} (eps {epsilon}, top_k {top_k:?}) certificate drifted"
         );
-        check(
-            adaptive_run(WordMc::<8>::wide(10_000, 7), epsilon, top_k, q),
-            8,
+        assert_eq!(
+            fnv(out.scores.as_slice()),
+            want,
+            "{name} (eps {epsilon}, top_k {top_k:?}) scores drifted"
         );
     }
 }
@@ -231,115 +197,37 @@ fn small_dag() -> impl Strategy<Value = QueryGraph> {
         })
 }
 
-fn solo_fused(q: &QueryGraph, jobs: &[FusedJob]) -> Vec<FusedOutcome> {
-    let mut results: Vec<Option<FusedOutcome>> = vec![None; jobs.len()];
-    let initial = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, &j)| (i as u64, j))
-        .collect();
-    run_fused::<8>(
-        q,
-        initial,
-        Vec::new,
-        |id, res| results[id as usize] = Some(res.expect("valid job")),
-        |_| {},
-    );
-    results.into_iter().map(|r| r.unwrap()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Lane width is invisible: widths 1, 4, and 8 — and every thread
-    /// split of width 8 — produce byte-identical score vectors.
+    /// Thread splits are invisible: `score_parallel` under any thread
+    /// count produces the byte-identical score vector of `score`.
     #[test]
-    fn lane_width_and_threads_never_change_score_bits(
+    fn thread_splits_never_change_score_bits(
         q in small_dag(),
         trials in (0usize..3).prop_map(|i| [64u32, 129, 1000][i]),
         seed in 0u64..=u64::MAX,
         threads in 1usize..=4,
     ) {
         let base = WordMc::new(trials, seed).score(&q).unwrap();
-        let w4 = WordMc::<4>::wide(trials, seed).score(&q).unwrap();
-        let w8 = WordMc::<8>::wide(trials, seed).score(&q).unwrap();
-        let w8t = WordMc::<8>::wide(trials, seed).score_parallel(&q, threads).unwrap();
-        prop_assert_eq!(fnv(w4.as_slice()), fnv(base.as_slice()), "width 4 drifted");
-        prop_assert_eq!(fnv(w8.as_slice()), fnv(base.as_slice()), "width 8 drifted");
+        let split = WordMc::new(trials, seed).score_parallel(&q, threads).unwrap();
         prop_assert_eq!(
-            fnv(w8t.as_slice()), fnv(base.as_slice()),
-            "width 8 x {} threads drifted", threads
+            fnv(split.as_slice()), fnv(base.as_slice()),
+            "{} threads drifted", threads
         );
     }
 
-    /// Adaptive runs stop at the same batch with the same certificate
-    /// and the same score bits at every lane width: the runner sees
-    /// identical 64-trial step boundaries regardless of how many
-    /// lanes a block propagates.
+    /// The adaptive runner's fixed-budget mode — the path every
+    /// fixed-trial word request takes in the service — folds the same
+    /// batches as a one-shot `score`, bit for bit.
     #[test]
-    fn lane_width_never_changes_adaptive_certificates(
+    fn fixed_budget_runner_matches_score_bits(
         q in small_dag(),
+        trials in (0usize..3).prop_map(|i| [64u32, 129, 1000][i]),
         seed in 0u64..=u64::MAX,
-        top_k in (0usize..3).prop_map(|i| [None, Some(1usize), Some(2)][i]),
     ) {
-        let base = adaptive_run(WordMc::new(2048, seed), 0.05, top_k, &q);
-        let wide = adaptive_run(WordMc::<8>::wide(2048, seed), 0.05, top_k, &q);
-        prop_assert_eq!(wide.certificate, base.certificate);
-        prop_assert_eq!(fnv(wide.scores.as_slice()), fnv(base.scores.as_slice()));
-    }
-
-    /// A fused sweep is invisible per job: each job's scores,
-    /// trials-used, and certificate equal its solo execution's, even
-    /// though the jobs shared propagation blocks.
-    #[test]
-    fn fused_jobs_match_solo_runs_bit_for_bit(
-        q in small_dag(),
-        seeds in proptest::collection::vec(0u64..=u64::MAX, 2..=5),
-    ) {
-        let jobs: Vec<FusedJob> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &seed)| FusedJob {
-                seed,
-                trials: 64 + 97 * i as u32,
-                policy: if i % 2 == 0 {
-                    FusedPolicy::Fixed
-                } else {
-                    FusedPolicy::Adaptive { epsilon: 0.05, delta: 0.05, top_k: None }
-                },
-                deadline: None,
-            })
-            .collect();
-        let fused = solo_fused(&q, &jobs);
-        for (job, out) in jobs.iter().zip(&fused) {
-            match job.policy {
-                FusedPolicy::Fixed => {
-                    let solo = WordMc::new(job.trials, job.seed).score(&q).unwrap();
-                    prop_assert_eq!(
-                        fnv(out.scores.as_slice()),
-                        fnv(solo.as_slice()),
-                        "fixed job (seed {}) drifted under fusion", job.seed
-                    );
-                    prop_assert_eq!(out.trials_used, job.trials);
-                    prop_assert_eq!(out.certificate, None::<Certificate>);
-                }
-                FusedPolicy::Adaptive { epsilon, delta, top_k } => {
-                    let mut runner = AdaptiveRunner::new(
-                        WordMc::new(job.trials, job.seed), epsilon, delta,
-                    );
-                    if let Some(k) = top_k {
-                        runner = runner.with_top_k(k);
-                    }
-                    let solo = runner.run(&q).unwrap();
-                    prop_assert_eq!(
-                        fnv(out.scores.as_slice()),
-                        fnv(solo.scores.as_slice()),
-                        "adaptive job (seed {}) drifted under fusion", job.seed
-                    );
-                    prop_assert_eq!(out.certificate, Some(solo.certificate));
-                    prop_assert_eq!(out.trials_used, solo.certificate.trials_used);
-                }
-            }
-        }
+        let base = WordMc::new(trials, seed).score(&q).unwrap();
+        let fixed = AdaptiveRunner::fixed(WordMc::new(trials, seed)).run_fixed(&q).unwrap();
+        prop_assert_eq!(fnv(fixed.as_slice()), fnv(base.as_slice()));
     }
 }

@@ -11,28 +11,21 @@
 //!    answers`: an identical query+ranker pair is answered without
 //!    scoring at all.
 //!
-//! Below the caches sit two concurrency collapses, both invisible on
-//! the wire:
+//! Below the caches sits **single-flight**, invisible on the wire:
+//! concurrent misses on the same result key elect one leader;
+//! followers block, then serve the leader's freshly cached entry
+//! (`queries.coalesced` counts them).
 //!
-//! - **Single-flight** — concurrent misses on the same result key
-//!   elect one leader; followers block, then serve the leader's
-//!   freshly cached entry (`queries.coalesced` counts them).
-//! - **Fusion sweeps** — concurrent word-estimator Monte Carlo jobs
-//!   on the same exploratory query (same resident CSR) share one
-//!   [`run_fused`] multi-query sweep: each job owns a lane group of
-//!   the [`FUSION_LANES`]-wide propagation blocks, and counts demux
-//!   per job. `fusion.{batches,lanes_used}` and the `fusion_width`
-//!   histogram record the sharing.
+//! Every Monte Carlo word-estimator job — fixed or adaptive — runs
+//! through [`AdaptiveRunner`], one 64-trial batch at a time, so a
+//! request deadline can abort it between batches and the
+//! fault-injection stall hook sits in the same loop.
 //!
 //! Determinism is load-bearing: Monte Carlo rankers are seeded from
 //! `mix(spec.seed, fnv1a(query))`, a value derived only from request
 //! *content*, never from arrival order or worker identity. A batch
 //! therefore produces bit-identical rankings on one worker and on N,
-//! and a cache hit returns exactly what recomputation would. Lane
-//! widening and fusion preserve this bit-for-bit: batch `b` of a job
-//! draws from the stream keyed `(seed, b)` no matter which lane of
-//! whose block executes it, so a fused response is byte-identical to
-//! the same request computed alone.
+//! and a cache hit returns exactly what recomputation would.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,10 +35,9 @@ use std::time::{Duration, Instant};
 use biorank_mediator::{ExploratoryQuery, IntegrationResult, Mediator};
 use biorank_obs::{MetricsRegistry, MetricsSnapshot, TraceRecorder, TraceSpan};
 use biorank_rank::{
-    run_fused, AdaptiveRunner, CalibrationInput, Certificate, CertificateMode, ClosedReliability,
-    CostModel, Diffusion, FusedJob, FusedOutcome, FusedPolicy, GraphFeatures, InEdge, PathCount,
-    Plan, PlanFeatures, Propagation, Ranker, Ranking, ReducedMc, Scores, Strategy,
-    StrategyTelemetry, TraversalMc, TrialsPolicy, WordMc,
+    AdaptiveRunner, CalibrationInput, Certificate, CertificateMode, ClosedReliability, CostModel,
+    Diffusion, GraphFeatures, InEdge, PathCount, Plan, PlanFeatures, Propagation, Ranker, Ranking,
+    ReducedMc, Scores, Strategy, StrategyTelemetry, TraversalMc, TrialsPolicy, WordMc,
 };
 use biorank_schema::{check_query_reducible, ComposeHints, Schema};
 
@@ -256,9 +248,11 @@ pub struct RankerSpec {
     /// trials run as [`PARALLEL_MC_CHUNKS`] fixed RNG streams spread
     /// over OS threads, so the estimate depends only on request
     /// content — never on the thread count — and stays cache-coherent
-    /// with repeated parallel executions. Under the word estimator
-    /// the flag spreads trial batches over threads without changing a
-    /// single output bit. Other methods ignore the flag.
+    /// with repeated parallel executions. The word estimator ignores
+    /// the flag: its jobs run batch by batch through the adaptive
+    /// runner so a deadline can cut them short, and its bits are the
+    /// same at every thread count anyway. Other methods ignore the
+    /// flag too.
     pub parallel: bool,
     /// Which Monte Carlo engine runs a [`Method::TraversalMc`]
     /// request. `None` means "unspecified": a server applies its
@@ -420,9 +414,7 @@ impl RankerSpec {
             Method::Reliability => Box::new(ReducedMc::new(trials, seed)),
             Method::TraversalMc => match self.resolved_estimator() {
                 Estimator::Traversal => Box::new(TraversalMc::new(trials, seed)),
-                Estimator::Word | Estimator::Auto => {
-                    Box::new(WordMc::<FUSION_LANES>::wide(trials, seed))
-                }
+                Estimator::Word | Estimator::Auto => Box::new(WordMc::new(trials, seed)),
             },
             Method::Propagation => Box::new(Propagation::auto()),
             Method::Diffusion => Box::new(Diffusion::auto()),
@@ -707,11 +699,6 @@ pub struct QueryEngine {
     /// key. Concurrent identical misses block here instead of
     /// recomputing, then serve the leader's cached entry.
     flights: Mutex<HashMap<(ExploratoryQuery, RankerSpec), Arc<Flight>>>,
-    /// Open fusion sweeps, one per exploratory query: word-estimator
-    /// Monte Carlo jobs arriving while a sweep over the same resident
-    /// CSR is running join its lane groups instead of propagating
-    /// alone.
-    sweeps: Mutex<HashMap<ExploratoryQuery, Arc<Sweep>>>,
     /// Structural planner features per integrated query, so repeat
     /// `auto` requests skip re-extraction (and re-integration)
     /// entirely. Same capacity policy as the other cache layers.
@@ -757,49 +744,6 @@ impl Flight {
     }
 }
 
-/// One fused sweep over a query's resident CSR. The leader drives
-/// [`run_fused`]; joiners enqueue a [`FusedJob`] and block until their
-/// result lands (or the sweep closes without serving them, in which
-/// case they retry — typically becoming the next leader).
-///
-/// Lock order: the engine's `sweeps` map lock is always taken before
-/// a sweep's `state` lock; the sweep callbacks take only `state`.
-struct Sweep {
-    state: Mutex<SweepState>,
-    cv: Condvar,
-}
-
-struct SweepState {
-    /// New jobs may still join. Cleared as soon as the leader's own
-    /// job completes, so a leader never drives other queries'
-    /// batches longer than its own request lives.
-    accepting: bool,
-    /// The sweep has returned; queued-but-unserved jobs must retry.
-    closed: bool,
-    /// Next joiner id (the leader owns id 0).
-    next_id: u64,
-    /// Jobs waiting to be dealt into lanes, drained by the sweep's
-    /// `source` callback before every block.
-    queue: Vec<(u64, FusedJob)>,
-    /// Finished joiner results, keyed by id.
-    results: HashMap<u64, Result<FusedOutcome, biorank_rank::Error>>,
-}
-
-impl Sweep {
-    fn new() -> Self {
-        Sweep {
-            state: Mutex::new(SweepState {
-                accepting: true,
-                closed: false,
-                next_id: 1,
-                queue: Vec::new(),
-                results: HashMap::new(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-}
-
 /// Default number of cached integration results / rankings.
 pub const DEFAULT_CACHE_CAPACITY: usize = 512;
 
@@ -811,13 +755,6 @@ pub const DEFAULT_CACHE_SHARDS: usize = 16;
 /// bit-identically on every machine and on every thread budget; only
 /// the scheduling of the chunks follows the hardware.
 pub const PARALLEL_MC_CHUNKS: usize = 8;
-
-/// Lane width of the service's word engines and fusion sweeps: every
-/// propagation block carries 8 × 64 trials. Width never changes
-/// results — batch `b` draws from the stream keyed `(seed, b)`
-/// regardless of lane placement — so this is purely a throughput
-/// knob.
-pub const FUSION_LANES: usize = 8;
 
 /// Planned executions between automatic cost-model recalibrations
 /// ([`QueryEngine::recalibrate`]). Small enough that a warm server
@@ -853,7 +790,6 @@ impl QueryEngine {
             warmed: Mutex::new(HashSet::new()),
             warmed_remaining: AtomicU64::new(0),
             flights: Mutex::new(HashMap::new()),
-            sweeps: Mutex::new(HashMap::new()),
             features: ShardedLru::new(capacity, DEFAULT_CACHE_SHARDS),
             hints: ComposeHints::none(),
             planner: Mutex::new(CostModel::default()),
@@ -1005,9 +941,8 @@ impl QueryEngine {
 
     /// The miss path of [`execute`](QueryEngine::execute), run under
     /// single-flight leadership of `result_key`: integrate (through
-    /// the graph cache), rank — joining the query's fusion sweep for
-    /// Monte Carlo word jobs — record stage metrics, and publish to
-    /// the result cache.
+    /// the graph cache), rank, record stage metrics, and publish to the
+    /// result cache.
     fn compute(
         &self,
         req: &QueryRequest,
@@ -1037,7 +972,7 @@ impl QueryEngine {
         // remainder, so the two always sum to the full scoring time.
         let rank_start = Instant::now();
         let (ranked, certify_ns) =
-            self.rank_resident(&integration, &req.query, &req.spec, coverage, deadline)?;
+            Self::rank(&integration, &req.query, &req.spec, coverage, deadline)?;
         let estimate_ns = (rank_start.elapsed().as_nanos() as u64).saturating_sub(certify_ns);
         trace.span("estimate", estimate_ns);
         trace.span("certify", certify_ns);
@@ -1308,176 +1243,6 @@ impl QueryEngine {
         Ok(response)
     }
 
-    /// Scores one resident-world request. Stochastic word-estimator
-    /// jobs — fixed and adaptive alike — are routed through the
-    /// query's fusion sweep, sharing [`FUSION_LANES`]-wide
-    /// propagation blocks with any concurrent word job on the same
-    /// integration; everything else delegates to the stateless
-    /// [`rank`](Self::rank). Either path produces byte-identical
-    /// results: fusion only changes which sweep executes a batch,
-    /// never what the batch draws.
-    fn rank_resident(
-        &self,
-        integration: &IntegrationResult,
-        query: &ExploratoryQuery,
-        spec: &RankerSpec,
-        coverage: Coverage,
-        deadline: Option<Instant>,
-    ) -> Result<(RankedResult, u64), Error> {
-        if spec.method != Method::TraversalMc || spec.resolved_estimator() != Estimator::Word {
-            return Self::rank(integration, query, spec, coverage, deadline);
-        }
-        let job = FusedJob {
-            seed: spec.effective_seed(query),
-            trials: match spec.trials {
-                Trials::Fixed(n) => n,
-                Trials::Adaptive(cfg) => cfg.max_trials,
-            },
-            policy: match spec.trials {
-                Trials::Fixed(_) => FusedPolicy::Fixed,
-                Trials::Adaptive(cfg) => FusedPolicy::Adaptive {
-                    epsilon: cfg.epsilon,
-                    delta: cfg.delta,
-                    top_k: match coverage {
-                        Coverage::TopK(k) => Some(k),
-                        Coverage::Full => None,
-                    },
-                },
-            },
-            deadline,
-        };
-        let outcome = self.run_in_sweep(query, &integration.query, job)?;
-        Ok((
-            Self::ranked_result(integration, &outcome.scores, outcome.certificate),
-            outcome.poll_nanos,
-        ))
-    }
-
-    /// Executes one word job inside the query's fusion sweep: join the
-    /// open sweep if one is accepting, otherwise become the leader and
-    /// drive [`run_fused`] — coalescing any jobs that arrive while it
-    /// runs. A job queued into a sweep that closes before dealing it
-    /// simply retries (becoming the next leader); [`run_fused`]
-    /// guarantees every *dealt* job completes through the sink.
-    fn run_in_sweep(
-        &self,
-        query: &ExploratoryQuery,
-        q: &biorank_graph::QueryGraph,
-        job: FusedJob,
-    ) -> Result<FusedOutcome, Error> {
-        loop {
-            // Ok(sweep) = lead it; Err((sweep, Some(id))) = enqueued as
-            // joiner `id`; Err((sweep, None)) = sweep is draining, wait
-            // for it to close and retry. Map lock before state lock,
-            // always.
-            let role = {
-                let mut sweeps = self.sweeps.lock().expect("sweep map");
-                match sweeps.get(query) {
-                    Some(sweep) => {
-                        let mut state = sweep.state.lock().expect("sweep state");
-                        if state.accepting {
-                            let id = state.next_id;
-                            state.next_id += 1;
-                            state.queue.push((id, job));
-                            Err((Arc::clone(sweep), Some(id)))
-                        } else {
-                            Err((Arc::clone(sweep), None))
-                        }
-                    }
-                    None => {
-                        let sweep = Arc::new(Sweep::new());
-                        sweeps.insert(query.clone(), Arc::clone(&sweep));
-                        Ok(sweep)
-                    }
-                }
-            };
-            match role {
-                Ok(sweep) => return self.lead_sweep(query, q, &sweep, job),
-                Err((sweep, joined)) => {
-                    let mut state = sweep.state.lock().expect("sweep state");
-                    loop {
-                        if let Some(id) = joined {
-                            if let Some(res) = state.results.remove(&id) {
-                                return res.map_err(Error::Rank);
-                            }
-                        }
-                        if state.closed {
-                            break; // never dealt — retry from the top
-                        }
-                        state = sweep.cv.wait(state).expect("sweep state");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drives one fused sweep to completion: the leader's own job
-    /// starts it, the sweep's source callback admits queued joiners
-    /// before every block, and its sink hands each joiner's result
-    /// back through the sweep. Admission stops the moment the
-    /// leader's own job finishes (already-dealt joiners still run to
-    /// completion), and the sweep is closed and unpublished before
-    /// this returns.
-    fn lead_sweep(
-        &self,
-        query: &ExploratoryQuery,
-        q: &biorank_graph::QueryGraph,
-        sweep: &Arc<Sweep>,
-        job: FusedJob,
-    ) -> Result<FusedOutcome, Error> {
-        const LEADER_ID: u64 = 0;
-        let batches = self.metrics.counter("fusion.batches");
-        let lanes_used = self.metrics.counter("fusion.lanes_used");
-        let width = self.metrics.histogram("fusion_width");
-        let mut own = None;
-        run_fused::<FUSION_LANES>(
-            q,
-            vec![(LEADER_ID, job)],
-            || {
-                let mut state = sweep.state.lock().expect("sweep state");
-                if state.accepting {
-                    std::mem::take(&mut state.queue)
-                } else {
-                    Vec::new()
-                }
-            },
-            |id, res| {
-                if id == LEADER_ID {
-                    sweep.state.lock().expect("sweep state").accepting = false;
-                    own = Some(res);
-                } else {
-                    let mut state = sweep.state.lock().expect("sweep state");
-                    state.results.insert(id, res);
-                    drop(state);
-                    sweep.cv.notify_all();
-                }
-            },
-            |stats| {
-                // Fault-injection hook: one relaxed load per batch
-                // when no stall is installed. Sitting in the observe
-                // callback keeps it between batches, where a stalled
-                // job's deadline can fire without perturbing the
-                // sample schedule of jobs that finish on time.
-                crate::admission::maybe_stall_batch();
-                batches.inc();
-                lanes_used.add(u64::from(stats.lanes));
-                width.record(u64::from(stats.jobs));
-            },
-        );
-        {
-            let mut sweeps = self.sweeps.lock().expect("sweep map");
-            if sweeps.get(query).is_some_and(|s| Arc::ptr_eq(s, sweep)) {
-                sweeps.remove(query);
-            }
-            let mut state = sweep.state.lock().expect("sweep state");
-            state.accepting = false;
-            state.closed = true;
-        }
-        sweep.cv.notify_all();
-        own.expect("leader's job completes before its sweep returns")
-            .map_err(Error::Rank)
-    }
-
     /// Turns a score vector (plus optional certificate) into the
     /// cached [`RankedResult`] form, resolving answer keys and labels
     /// against the integration.
@@ -1514,45 +1279,47 @@ impl QueryEngine {
         deadline: Option<Instant>,
     ) -> Result<(RankedResult, u64), Error> {
         let q = &integration.query;
+        let seed = spec.effective_seed(query);
         let mut certify_nanos = 0u64;
         let (scores, certificate) = match spec.trials {
             // Deterministic methods never sample, so the trial policy
             // (fixed or adaptive) is irrelevant to them.
             Trials::Adaptive(cfg) if spec.method.is_stochastic() => {
+                let top_k = match coverage {
+                    Coverage::TopK(k) => Some(k),
+                    Coverage::Full => None,
+                };
                 let outcome = run_adaptive_with_deadline(
                     spec.method,
                     spec.resolved_estimator(),
                     cfg,
-                    spec.effective_seed(query),
-                    match coverage {
-                        Coverage::TopK(k) => Some(k),
-                        Coverage::Full => None,
-                    },
+                    seed,
+                    top_k,
                     deadline,
                     q,
                 )?;
                 certify_nanos = outcome.poll_nanos;
                 (outcome.scores, Some(outcome.certificate))
             }
+            // Word jobs run batch by batch through the runner's
+            // fixed-budget mode, so a deadline can abort them
+            // mid-estimate. (`auto` is resolved before execution;
+            // unresolved specs run the word engine, matching `build`.)
+            Trials::Fixed(trials)
+                if spec.method == Method::TraversalMc
+                    && spec.resolved_estimator() != Estimator::Traversal =>
+            {
+                let runner = runner(AdaptiveRunner::fixed(WordMc::new(trials, seed)), deadline);
+                (runner.run_fixed(q)?, None)
+            }
             Trials::Fixed(trials) if spec.method == Method::TraversalMc && spec.parallel => {
+                // Chunk count pinned for determinism, thread budget
+                // following the hardware.
                 let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                let scores = match spec.resolved_estimator() {
-                    // Traversal: chunk count pinned for determinism,
-                    // thread budget following the hardware.
-                    Estimator::Traversal => TraversalMc::new(trials, spec.effective_seed(query))
-                        .score_chunked(q, PARALLEL_MC_CHUNKS, threads.min(PARALLEL_MC_CHUNKS))?,
-                    // Word: every thread split is bit-identical, so the
-                    // hardware budget needs no pinning at all. (`auto`
-                    // is resolved before execution; unresolved specs
-                    // run the word engine, matching `build`.)
-                    Estimator::Word | Estimator::Auto => {
-                        WordMc::<FUSION_LANES>::wide(trials, spec.effective_seed(query))
-                            .score_parallel(q, threads)?
-                    }
-                };
-                (scores, None)
+                    .map_or(1, |n| n.get())
+                    .min(PARALLEL_MC_CHUNKS);
+                let mc = TraversalMc::new(trials, seed);
+                (mc.score_chunked(q, PARALLEL_MC_CHUNKS, threads)?, None)
             }
             _ => (spec.build(query).score(q)?, None),
         };
@@ -1820,12 +1587,12 @@ pub fn run_adaptive_with_deadline(
         deadline: Option<Instant>,
         q: &biorank_graph::QueryGraph,
     ) -> Result<biorank_rank::AdaptiveOutcome, biorank_rank::Error> {
-        let mut runner = AdaptiveRunner::new(engine, cfg.epsilon, cfg.delta);
+        let mut runner = runner(
+            AdaptiveRunner::new(engine, cfg.epsilon, cfg.delta),
+            deadline,
+        );
         if let Some(k) = top_k {
             runner = runner.with_top_k(k);
-        }
-        if let Some(d) = deadline {
-            runner = runner.with_deadline(d);
         }
         runner.run(q)
     }
@@ -1847,13 +1614,9 @@ pub fn run_adaptive_with_deadline(
             ),
             // `auto` is resolved before execution; unresolved callers
             // get the word engine, matching `RankerSpec::build`.
-            Estimator::Word | Estimator::Auto => run(
-                WordMc::<FUSION_LANES>::wide(cfg.max_trials, seed),
-                cfg,
-                top_k,
-                deadline,
-                q,
-            ),
+            Estimator::Word | Estimator::Auto => {
+                run(WordMc::new(cfg.max_trials, seed), cfg, top_k, deadline, q)
+            }
         },
         // Deterministic methods have no trials to adapt; callers
         // filter on `Method::is_stochastic` first.
@@ -1861,6 +1624,21 @@ pub fn run_adaptive_with_deadline(
             name: "method",
             value: f64::NAN,
         }),
+    }
+}
+
+/// Attaches what every service-side runner carries: the optional
+/// request deadline, and the fault-injection stall hook
+/// ([`crate::admission::maybe_stall_batch`], one relaxed load per
+/// batch when no stall is installed).
+fn runner<E: biorank_rank::Estimator>(
+    runner: AdaptiveRunner<E>,
+    deadline: Option<Instant>,
+) -> AdaptiveRunner<E> {
+    let runner = runner.with_batch_hook(crate::admission::maybe_stall_batch);
+    match deadline {
+        Some(d) => runner.with_deadline(d),
+        None => runner,
     }
 }
 

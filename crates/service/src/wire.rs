@@ -218,8 +218,10 @@ impl Json {
     /// Parses a complete JSON document (rejecting trailing garbage).
     pub fn parse(input: &str) -> Result<Json, WireError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -271,9 +273,17 @@ fn wire_err(message: impl Into<String>) -> WireError {
     }
 }
 
+/// How deeply arrays and objects may nest. Every protocol message
+/// nests a handful of levels; the cap keeps a line of `[`s from
+/// recursing the parser off its thread's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -319,8 +329,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -407,21 +428,23 @@ impl Parser<'_> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
-                _ => {
-                    // Re-synchronize on UTF-8 boundaries: step back and
-                    // take the full character.
+                0x00..=0x1f => {
                     self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
+                    return Err(self.err("unescaped control character"));
+                }
+                _ => {
+                    // Copy the whole run of plain characters at once.
+                    // Its delimiters (quote, backslash, control bytes)
+                    // are ASCII, so the run starts and ends on char
+                    // boundaries of the already-valid UTF-8 input.
+                    let start = self.pos - 1;
+                    while let Some(b) = self.peek() {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -1882,6 +1905,37 @@ mod tests {
             "\"unterminated",
         ] {
             assert!(Json::parse(text).is_err(), "{text:?} should fail");
+        }
+    }
+
+    #[test]
+    fn long_multibyte_strings_decode_in_linear_time() {
+        // Just under the default 1 MiB request cap, all two-byte
+        // characters: a decoder that re-validates the rest of the
+        // input per character would take minutes here.
+        let body = "é".repeat(crate::DEFAULT_MAX_REQUEST_BYTES / 2 - 16);
+        let v = Json::parse(&format!("{{\"pad\":\"{body}\"}}")).unwrap();
+        match v {
+            Json::Obj(fields) => assert_eq!(fields.get("pad"), Some(&Json::Str(body))),
+            other => panic!("expected an object, got {other:?}"),
+        }
+        // Plain runs and escapes interleave without losing a byte.
+        let v = Json::parse("\"aé\\n😀\\\"z\"").unwrap();
+        assert_eq!(v, Json::Str("aé\n😀\"z".to_string()));
+        assert!(Json::parse("\"a\u{1}b\"").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_a_decode_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        for deep in [
+            "[".repeat(MAX_DEPTH + 1),
+            "[".repeat(20_000),
+            "{\"a\":".repeat(20_000),
+        ] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.message.contains("nesting too deep"), "{err}");
         }
     }
 

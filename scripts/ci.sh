@@ -71,13 +71,13 @@ echo "$certify_out" | grep -q "top-5 + boundary certified"
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 
-# Concurrency collapse smoke through the real binary: concurrent
-# identical word-estimator queries must coalesce onto one flight
-# (queries.coalesced > 0 in `admin metrics`) and concurrent distinct
-# ones may share fused sweeps — while every client still gets its
-# answer. The trial count is sized so the first flight is still
-# computing when the later clients connect.
-echo "==> biorank fusion/coalescing wire smoke"
+# Single-flight smoke through the real binary: concurrent identical
+# word-estimator queries must coalesce onto one flight
+# (queries.coalesced > 0 in `admin metrics`), next to concurrent
+# distinct ones — while every client still gets its answer. The trial
+# count is sized so the first flight is still computing when the later
+# clients connect.
+echo "==> biorank coalescing wire smoke"
 : >"$serve_log"
 ./target/release/biorank serve --addr 127.0.0.1:0 --workers 4 >"$serve_log" 2>&1 &
 serve_pid=$!
@@ -88,7 +88,7 @@ for _ in $(seq 1 240); do
     sleep 0.5
 done
 if [ -z "$addr" ]; then
-    echo "fusion smoke serve never reported its address" >&2
+    echo "coalescing smoke serve never reported its address" >&2
     cat "$serve_log" >&2
     exit 1
 fi

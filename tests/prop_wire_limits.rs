@@ -1,6 +1,6 @@
 //! Property tests for wire-protocol robustness under hostile input:
-//! random byte garbage, truncated JSON prefixes, oversized lines, and
-//! valid queries interleaved among them. The server must never panic,
+//! random byte garbage, truncated JSON prefixes, oversized lines,
+//! over-deep nesting, and valid queries interleaved among them. The server must never panic,
 //! never buffer past its request-size cap, and — for every complete
 //! (newline-terminated) request line — either answer with exactly one
 //! response line or close the connection. A canonical query after
@@ -13,7 +13,9 @@ use std::time::Duration;
 
 use biorank::mediator::Mediator;
 use biorank::prelude::*;
-use biorank::service::{QueryEngine, ServeOptions, Server, ServerHandle};
+use biorank::service::{
+    QueryEngine, ServeOptions, Server, ServerHandle, DEFAULT_MAX_REQUEST_BYTES,
+};
 use proptest::prelude::*;
 
 /// One server shared across every proptest case: world generation is
@@ -23,24 +25,33 @@ const MAX_REQUEST_BYTES: usize = 512;
 
 fn server() -> &'static ServerHandle {
     static HANDLE: OnceLock<ServerHandle> = OnceLock::new();
-    HANDLE.get_or_init(|| {
-        let world = World::generate(WorldParams::default());
-        let mediator = Mediator::new(biorank_schema_with_ontology().schema, world.registry());
-        let engine = Arc::new(QueryEngine::new(mediator));
-        let server = Server::bind(
-            "127.0.0.1:0",
-            engine,
-            ServeOptions {
-                workers: 2,
-                max_request_bytes: MAX_REQUEST_BYTES,
-                ..Default::default()
-            },
-        )
-        .expect("bind ephemeral");
-        let handle = server.handle().expect("server handle");
-        std::thread::spawn(move || server.run().expect("server run"));
-        handle
-    })
+    HANDLE.get_or_init(|| spawn_server(MAX_REQUEST_BYTES))
+}
+
+/// A second server at the default (1 MiB) request cap, for lines far
+/// longer than [`MAX_REQUEST_BYTES`] that are still within the cap.
+fn default_cap_server() -> &'static ServerHandle {
+    static HANDLE: OnceLock<ServerHandle> = OnceLock::new();
+    HANDLE.get_or_init(|| spawn_server(DEFAULT_MAX_REQUEST_BYTES))
+}
+
+fn spawn_server(max_request_bytes: usize) -> ServerHandle {
+    let world = World::generate(WorldParams::default());
+    let mediator = Mediator::new(biorank_schema_with_ontology().schema, world.registry());
+    let engine = Arc::new(QueryEngine::new(mediator));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        engine,
+        ServeOptions {
+            workers: 2,
+            max_request_bytes,
+            ..Default::default()
+        },
+    )
+    .expect("bind ephemeral");
+    let handle = server.handle().expect("server handle");
+    std::thread::spawn(move || server.run().expect("server run"));
+    handle
 }
 
 const VALID_QUERY: &str = "{\"id\":1,\"input\":\"EntrezProtein\",\"attribute\":\"name\",\
@@ -55,6 +66,9 @@ enum Line {
     Truncated(usize),
     /// A line guaranteed past the request-size cap.
     Oversized(usize),
+    /// Arrays and objects nested this deep — past the decoder's
+    /// nesting cap, within the request-size cap.
+    Deep(usize),
     /// A well-formed query that must be answered if it is reached.
     Valid,
 }
@@ -63,15 +77,19 @@ fn line_strategy() -> impl Strategy<Value = Line> {
     // The vendored proptest has no `prop_oneof!`: draw every variant's
     // payload plus a tag and let the tag pick.
     (
-        0u8..4,
+        0u8..5,
         proptest::collection::vec(0u8..=255, 0..96),
         1usize..VALID_QUERY.len(),
         MAX_REQUEST_BYTES + 1..MAX_REQUEST_BYTES + 512,
+        // Past the decoder's 128-level cap; at 2.5 bytes a level,
+        // still under the line cap.
+        130usize..200,
     )
-        .prop_map(|(tag, garbage, truncate_at, oversize)| match tag {
+        .prop_map(|(tag, garbage, truncate_at, oversize, depth)| match tag {
             0 => Line::Garbage(garbage),
             1 => Line::Truncated(truncate_at),
             2 => Line::Oversized(oversize),
+            3 => Line::Deep(depth),
             _ => Line::Valid,
         })
 }
@@ -89,6 +107,10 @@ impl Line {
                 line.extend_from_slice(b"\"}");
                 line
             }
+            Line::Deep(depth) => (0..*depth)
+                .map(|i| if i % 2 == 0 { "[" } else { "{\"\":" })
+                .collect::<String>()
+                .into_bytes(),
             Line::Valid => VALID_QUERY.as_bytes().to_vec(),
         }
     }
@@ -135,6 +157,12 @@ fn play(lines: &[Line]) {
                         "valid query mis-answered after hostile lines: {response}"
                     );
                 }
+                if matches!(line, Line::Deep(_)) {
+                    assert!(
+                        response.contains("\"ok\":false") && response.contains("nesting too deep"),
+                        "over-deep line must be a decode error: {response}"
+                    );
+                }
                 if matches!(line, Line::Oversized(_)) {
                     assert!(
                         response.contains(&format!("{MAX_REQUEST_BYTES} bytes")),
@@ -163,7 +191,10 @@ fn is_disconnect(e: &std::io::Error) -> bool {
 /// The liveness probe run after every hostile session: a fresh
 /// connection must still get the Table 1 answer.
 fn assert_server_alive() {
-    let handle = server();
+    assert_alive(server());
+}
+
+fn assert_alive(handle: &ServerHandle) {
     let stream = TcpStream::connect(handle.addr()).expect("reconnect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -178,6 +209,72 @@ fn assert_server_alive() {
     assert!(
         response.contains("\"ok\":true") && response.contains("\"total\":15"),
         "server unhealthy after hostile session: {response}"
+    );
+}
+
+/// Sends each line on one connection and returns one response line
+/// per request line.
+fn exchange(handle: &ServerHandle, lines: &[String]) -> Vec<String> {
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    lines
+        .iter()
+        .map(|line| {
+            (&stream)
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("write line");
+            let mut response = String::new();
+            reader.read_line(&mut response).expect("read response");
+            response
+        })
+        .collect()
+}
+
+#[test]
+fn deep_nesting_is_a_decode_error_and_the_connection_answers_the_next_query() {
+    // 20 KB of `[` once recursed the decoder off the connection
+    // thread's stack and aborted the whole process.
+    let handle = default_cap_server();
+    let responses = exchange(
+        handle,
+        &[
+            "[".repeat(20_000),
+            "{\"a\":".repeat(4_000),
+            VALID_QUERY.to_string(),
+        ],
+    );
+    for deep in &responses[..2] {
+        assert!(
+            deep.contains("\"ok\":false") && deep.contains("nesting too deep"),
+            "over-deep line must be a decode error: {deep}"
+        );
+    }
+    assert!(
+        responses[2].contains("\"ok\":true") && responses[2].contains("\"total\":15"),
+        "query after the deep lines mis-answered: {}",
+        responses[2]
+    );
+    assert_alive(handle);
+}
+
+#[test]
+fn near_cap_multibyte_string_line_decodes() {
+    // One string of two-byte characters filling most of the 1 MiB cap,
+    // carried in a field the decoder ignores: the query must still be
+    // answered, and promptly.
+    let pad = "é".repeat(DEFAULT_MAX_REQUEST_BYTES / 2 - 256);
+    let line = VALID_QUERY.replacen('{', &format!("{{\"pad\":\"{pad}\","), 1);
+    assert!(line.len() < DEFAULT_MAX_REQUEST_BYTES);
+    assert!(line.len() > DEFAULT_MAX_REQUEST_BYTES - 1024);
+    let handle = default_cap_server();
+    let responses = exchange(handle, &[line]);
+    assert!(
+        responses[0].contains("\"ok\":true") && responses[0].contains("\"total\":15"),
+        "near-cap line mis-answered: {}",
+        responses[0]
     );
 }
 

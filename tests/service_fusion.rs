@@ -1,13 +1,10 @@
-//! Fusion and single-flight are invisible on the wire.
+//! Single-flight is invisible on the wire.
 //!
 //! The engine may collapse concurrent identical requests into one
-//! computation (single-flight) and run concurrent word-estimator
-//! Monte Carlo jobs as one fused multi-lane sweep — but a client can
-//! never tell: responses are byte-identical to unfused, solo
-//! execution, and identical requests land in exactly one result-cache
-//! entry. Only the metrics registry records the collapsing
-//! (`queries.coalesced`, `fusion.batches`, `fusion.lanes_used`,
-//! `fusion_width`).
+//! computation — but a client can never tell: responses are
+//! byte-identical to solo execution, and identical requests land in
+//! exactly one result-cache entry. Only the metrics registry records
+//! the collapsing (`queries.coalesced`).
 
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -42,44 +39,36 @@ fn adaptive(max_trials: u32) -> Trials {
     })
 }
 
-/// Every request in a mix of fixed, adaptive-full, and adaptive-top-k
-/// word queries answers byte-identically through the fused engine path
-/// ([`QueryEngine::execute`]) and the solo path
+/// Every request in a mix of fixed, fixed-with-deadline,
+/// adaptive-full, and adaptive-top-k word queries answers
+/// byte-identically through the resident engine path
+/// ([`QueryEngine::execute`]) and the stateless path
 /// ([`QueryEngine::execute_uncached`]): same answers, same scores, same
-/// certificate. Fusion only changes which sweep executes a batch.
+/// certificate. A deadline the run beats changes nothing.
 #[test]
-fn fused_and_unfused_executions_are_byte_identical() {
+fn resident_and_uncached_executions_are_byte_identical() {
     let engine = engine();
     let mut topk = QueryRequest::protein_functions("CFTR", word_spec(13, adaptive(20_000)));
     topk.top = Some(3);
     topk.certify_top = true;
+    let mut deadlined =
+        QueryRequest::protein_functions("CFTR", word_spec(14, Trials::Fixed(4_096)));
+    deadlined.deadline_ms = Some(600_000);
     let mix = [
         QueryRequest::protein_functions("GALT", word_spec(11, Trials::Fixed(4_096))),
+        deadlined,
         QueryRequest::protein_functions("GALT", word_spec(12, adaptive(20_000))),
         topk,
     ];
     for req in &mix {
-        let unfused = engine.execute_uncached(req).expect("unfused execution");
-        let fused = engine.execute(req).expect("fused execution");
-        assert_eq!(fused.answers, unfused.answers, "answer bytes drifted");
+        let uncached = engine.execute_uncached(req).expect("uncached execution");
+        let resident = engine.execute(req).expect("resident execution");
+        assert_eq!(resident.answers, uncached.answers, "answer bytes drifted");
         assert_eq!(
-            fused.certificate, unfused.certificate,
+            resident.certificate, uncached.certificate,
             "certificate drifted"
         );
     }
-
-    // Every word query above ran inside a sweep, so the fusion
-    // telemetry is live even without concurrency.
-    let metrics = engine.metrics_snapshot();
-    assert!(
-        metrics.counter("fusion.batches") > 0,
-        "no fused blocks recorded"
-    );
-    assert!(
-        metrics.counter("fusion.lanes_used") >= metrics.counter("fusion.batches"),
-        "every block carries at least one lane"
-    );
-    assert!(metrics.histogram("fusion_width").count > 0);
 }
 
 /// Concurrent identical requests collapse into one flight: one
@@ -123,52 +112,4 @@ fn concurrent_identical_queries_coalesce_into_one_flight() {
         "no request coalesced onto the leader's flight"
     );
     assert_eq!(metrics.counter("queries") as usize, threads);
-}
-
-/// Concurrent *distinct* word queries on the same exploratory query
-/// join one fused sweep: some propagation block carries more than one
-/// job, visible as `fusion_width` recording a block whose job count
-/// exceeds one (sum over blocks > block count).
-#[test]
-fn concurrent_distinct_word_queries_share_fused_sweeps() {
-    let engine = engine();
-    // Warm the graph cache so every thread reaches the sweep without
-    // racing on integration.
-    engine
-        .execute(&QueryRequest::protein_functions(
-            "GALT",
-            word_spec(1, Trials::Fixed(64)),
-        ))
-        .expect("warm-up query");
-
-    let threads = 4;
-    let barrier = Arc::new(Barrier::new(threads));
-    let handles: Vec<_> = (0..threads)
-        .map(|i| {
-            let engine = Arc::clone(&engine);
-            let barrier = Arc::clone(&barrier);
-            thread::spawn(move || {
-                barrier.wait();
-                let req = QueryRequest::protein_functions(
-                    "GALT",
-                    word_spec(100 + i as u64, Trials::Fixed(1_500_000)),
-                );
-                engine.execute(&req).expect("distinct word query")
-            })
-        })
-        .collect();
-    for h in handles {
-        let response = h.join().expect("query thread");
-        assert!(!response.answers.is_empty());
-    }
-
-    let metrics = engine.metrics_snapshot();
-    let width = metrics.histogram("fusion_width");
-    assert!(
-        width.sum > width.count,
-        "no propagation block was shared across jobs \
-         (sum {} over {} blocks)",
-        width.sum,
-        width.count
-    );
 }
