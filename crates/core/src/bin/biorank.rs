@@ -46,8 +46,10 @@
 //!                                         executing locally
 //!   --world NAME                          resident world to query (remote only)
 //!   --trace                               print the per-stage span breakdown
-//!                                         (remote: echoed by the server;
-//!                                         local: measured in-process)
+//!                                         (remote: echoed by the server,
+//!                                         plus a `wire` row: client round
+//!                                         trip minus server time; local:
+//!                                         measured in-process)
 //!   --deadline-ms N                       total execution budget (remote only):
 //!                                         a query still running when it
 //!                                         expires aborts between Monte Carlo
@@ -633,14 +635,26 @@ fn cmd_query_remote(opts: &Options, addr: &str) -> Result<(), String> {
         deadline_ms: opts.deadline_ms,
     };
     let copts = client_options(opts);
-    let response = if opts.retries > 0 {
+    // The client-side clock behind the `wire` trace line: what the
+    // round trip cost beyond the server's own `micros`.
+    let (response, round_trip, timed) = if opts.retries > 0 {
         // Retrying reconnects per attempt (an overload shed closes
         // the connection), honoring the server's retry_after_ms hint.
-        Client::query_with_retry(addr, copts, &request, opts.retries).map_err(|e| e.to_string())?
+        // Only the whole call can be timed from here.
+        let start = std::time::Instant::now();
+        let response = Client::query_with_retry(addr, copts, &request, opts.retries)
+            .map_err(|e| e.to_string())?;
+        (
+            response,
+            start.elapsed(),
+            "whole call: connects, retries, backoff",
+        )
     } else {
         let mut client =
             Client::connect_with(addr, copts).map_err(|e| format!("connect {addr}: {e}"))?;
-        client.query(&request).map_err(|e| e.to_string())?
+        let start = std::time::Instant::now();
+        let response = client.query(&request).map_err(|e| e.to_string())?;
+        (response, start.elapsed(), "one round trip")
     };
     println!(
         "{protein}: {} candidate functions via {addr}{}, method {} ({}, {} µs)",
@@ -678,6 +692,16 @@ fn cmd_query_remote(opts: &Options, addr: &str) -> Result<(), String> {
         for s in &response.trace {
             println!("    {:<10} {:>12} ns", s.stage, s.nanos);
         }
+    }
+    if opts.trace {
+        let round_trip_ns = round_trip.as_nanos() as u64;
+        println!(
+            "    {:<10} {:>12} ns  (client {} µs − server {} µs; {timed})",
+            "wire",
+            round_trip_ns.saturating_sub(response.micros.saturating_mul(1_000)),
+            round_trip_ns / 1_000,
+            response.micros
+        );
     }
     for a in &response.answers {
         let rank = if a.rank_lo == a.rank_hi {

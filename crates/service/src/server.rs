@@ -7,6 +7,16 @@
 //! absorbs out-of-order completions). Clients may therefore pipeline
 //! requests freely and match responses positionally or by id.
 //!
+//! **Framing.** Every response line — its `\n` already appended by
+//! the producer (query job, admin reply, shed or refusal) — reaches
+//! the socket in one `write_all`, and both ends set `TCP_NODELAY`
+//! (accepted sockets here, [`Client::connect_with`] on the client).
+//! A line split into two writes lets Nagle's algorithm hold the short
+//! tail until the peer's delayed ACK: about 40 ms per response on a
+//! persistent connection once a line outgrows one segment. The
+//! `server.write_ns` histogram times each line's write, so a peer
+//! that reads slowly shows up as socket backpressure.
+//!
 //! Requests route through a [`WorldManager`]: a query names a resident
 //! world (or defaults to [`DEFAULT_WORLD`](crate::tenancy::DEFAULT_WORLD)),
 //! and admin lines (`world.load`, `world.swap`, `world.evict`,
@@ -515,16 +525,23 @@ fn handle_connection(
     if defaults.read_timeout_ms > 0 {
         stream.set_read_timeout(Some(Duration::from_millis(defaults.read_timeout_ms)))?;
     }
+    // Nagle would hold a line's last partial segment until the peer's
+    // delayed ACK (~40 ms); every line is one complete write, so there
+    // is nothing to coalesce.
+    stream.set_nodelay(true)?;
     let peer_write = stream.try_clone()?;
     if defaults.write_timeout_ms > 0 {
         peer_write.set_write_timeout(Some(Duration::from_millis(defaults.write_timeout_ms)))?;
     }
     let fault = defaults.fault;
+    let metrics = Arc::clone(manager.metrics());
+    let write_ns = metrics.histogram("server.write_ns");
 
     // Writer thread: re-sequences (seq, line) pairs into socket order.
+    // Every line arrives newline-terminated and leaves in one write.
     let (line_tx, line_rx) = channel::<(u64, String)>();
     let writer = std::thread::spawn(move || -> std::io::Result<()> {
-        let mut out = BufWriter::new(peer_write);
+        let mut out = peer_write;
         let mut next: u64 = 0;
         let mut written: u64 = 0;
         let mut pending: BTreeMap<u64, String> = BTreeMap::new();
@@ -539,14 +556,14 @@ fn handle_connection(
                     continue; // injected: swallow the response
                 }
                 if fault.short_write {
-                    // Injected: half the bytes, then hang up.
-                    out.write_all(&line.as_bytes()[..line.len() / 2])?;
-                    out.flush()?;
+                    // Injected: half the response's bytes (newline
+                    // not counted), then hang up.
+                    out.write_all(&line.as_bytes()[..(line.len() - 1) / 2])?;
                     return Ok(());
                 }
+                let write_start = Instant::now();
                 out.write_all(line.as_bytes())?;
-                out.write_all(b"\n")?;
-                out.flush()?;
+                write_ns.record(write_start.elapsed().as_nanos() as u64);
                 written += 1;
                 if fault.close_after > 0 && written >= fault.close_after {
                     return Ok(()); // injected: close mid-conversation
@@ -556,7 +573,6 @@ fn handle_connection(
         Ok(())
     });
 
-    let metrics = Arc::clone(manager.metrics());
     let mut rate = defaults.rate_limit_per_sec.map(TokenBucket::new);
     // Queries this connection has handed to the pool but not yet
     // answered; admin commands barrier on it going to zero.
@@ -575,7 +591,7 @@ fn handle_connection(
                     id: 0,
                     outcome: Err(format!("request line exceeds {limit} bytes")),
                 };
-                let _ = line_tx.send((seq, wire::encode_response(&response)));
+                let _ = line_tx.send((seq, response_line(&response)));
                 break Ok(());
             }
             Err(LineError::Stalled) => {
@@ -600,7 +616,7 @@ fn handle_connection(
                         bucket.retry_after_ms()
                     )),
                 };
-                let _ = line_tx.send((seq, wire::encode_response(&response)));
+                let _ = line_tx.send((seq, response_line(&response)));
                 seq += 1;
                 continue;
             }
@@ -613,6 +629,14 @@ fn handle_connection(
     drop(line_tx);
     let _ = writer.join();
     outcome
+}
+
+/// Encodes `response` as one newline-terminated wire line: the unit
+/// the connection writer puts on the socket in a single write.
+fn response_line(response: &wire::Response) -> String {
+    let mut line = wire::encode_response(response);
+    line.push('\n');
+    line
 }
 
 /// Best-effort id recovery from a request line that will not (or did
@@ -695,7 +719,7 @@ fn dispatch_line(
                             defaults.retry_after_ms
                         )),
                     };
-                    let _ = line_tx.send((seq, wire::encode_response(&response)));
+                    let _ = line_tx.send((seq, response_line(&response)));
                     return;
                 }
                 // The deadline clock starts here, at decode: time the
@@ -767,7 +791,7 @@ fn dispatch_line(
                         outcome,
                     };
                     let encode_start = Instant::now();
-                    let encoded = wire::encode_response(&response);
+                    let encoded = response_line(&response);
                     metrics
                         .histogram("server.encode_ns")
                         .record(encode_start.elapsed().as_nanos() as u64);
@@ -796,7 +820,7 @@ fn dispatch_line(
                     id: request.id,
                     outcome,
                 };
-                let _ = line_tx.send((seq, wire::encode_response(&response)));
+                let _ = line_tx.send((seq, response_line(&response)));
             }
         },
         Err(e) => {
@@ -806,7 +830,7 @@ fn dispatch_line(
                 id: salvage_id(&line),
                 outcome: Err(e.to_string()),
             };
-            let _ = line_tx.send((seq, wire::encode_response(&response)));
+            let _ = line_tx.send((seq, response_line(&response)));
         }
     }
 }
@@ -966,6 +990,9 @@ impl Client {
             stream.set_read_timeout(Some(timeout))?;
             stream.set_write_timeout(Some(timeout))?;
         }
+        // Requests leave as one flush of the buffered writer below;
+        // Nagle must not hold its last partial segment back.
+        stream.set_nodelay(true)?;
         let writer = BufWriter::new(stream.try_clone()?);
         Ok(Client {
             reader: BufReader::new(stream),

@@ -43,6 +43,13 @@ cargo test -q --test service_metrics
 echo "==> cargo test -q --test service_store"
 cargo test -q --test service_store
 
+# Response framing: a full ranking line past 8 KiB must reach a
+# persistent Nagle-on client without a delayed-ACK stall (one write
+# per newline-terminated line, TCP_NODELAY on both ends), and
+# pipelined full rankings must match sequential ones.
+echo "==> cargo test -q --test service_wire_latency"
+cargo test -q --test service_wire_latency
+
 # Smoke top-k boundary certification over the wire through the real
 # binary: start a serve on an ephemeral port, issue a --certify-top
 # query, and require the top-k certificate in the human output.

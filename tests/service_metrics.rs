@@ -96,6 +96,10 @@ fn traced_query_reports_stages_and_metrics_snapshot() {
     assert!(report.service.counter("server.requests") >= 3);
     assert!(report.service.histogram("server.decode_ns").count >= 3);
     assert!(report.service.histogram("server.encode_ns").count >= 3);
+    // One timed socket write per line. The sample is recorded after the
+    // bytes leave, so only the last query's may still be pending: the
+    // writer thread recorded each earlier one before writing the next.
+    assert!(report.service.histogram("server.write_ns").count >= 2);
 
     let world = report
         .worlds

@@ -2,10 +2,11 @@
 //! sheds under a flood, slow-loris reaping, oversized-request
 //! rejection, queue backpressure, deadlines firing mid-estimate
 //! (via fault-injected estimator stalls), graceful drain with zero
-//! dropped in-flight queries, per-connection rate limiting, and the
-//! client's bounded retry-with-backoff — with every shed accounted
-//! for in the metrics registry, and admitted queries answering
-//! bit-identically to unloaded runs.
+//! dropped in-flight queries, per-connection rate limiting, the
+//! client's bounded retry-with-backoff, and the writer-side faults
+//! (short write, close after N, blackhole, response delay) — with
+//! every shed accounted for in the metrics registry, and admitted
+//! queries answering bit-identically to unloaded runs.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -14,6 +15,7 @@ use std::time::Duration;
 
 use biorank::mediator::Mediator;
 use biorank::prelude::*;
+use biorank::service::wire;
 use biorank::service::{
     Client, ClientOptions, Estimator, FaultPlan, Method, QueryEngine, QueryRequest, RankerSpec,
     ServeOptions, Server, ServerHandle, Trials,
@@ -496,4 +498,148 @@ fn admitted_queries_answer_bit_identically_to_unloaded_runs() {
 
     unloaded.shutdown();
     flooded.shutdown();
+}
+
+// ---- Writer-side faults ---------------------------------------------
+//
+// `response_delay_ms`, `blackhole`, `short_write` and `close_after`
+// act in the connection's writer thread, after the response line is
+// encoded. The writer's "hang up" drops only its clone of the socket;
+// the connection closes once the reader side sees EOF too, so the EOF
+// tests half-close their write side after sending.
+
+/// Starts a server with writer-side faults. Binding a server with a
+/// fault plan installs its (here zero) estimator stall process-wide,
+/// so these tests hold the stall lock like the estimator-stall ones.
+fn fault_server(fault: FaultPlan) -> (StallGuard, ServerHandle) {
+    let stall = StallGuard::take();
+    let handle = start_server(ServeOptions {
+        workers: 2,
+        fault_plan: Some(fault),
+        ..Default::default()
+    });
+    (stall, handle)
+}
+
+/// The line a server answers `not json` with. It carries no timing
+/// field, so a faulted write of it can be checked byte for byte.
+fn garbage_response_line() -> String {
+    let err = wire::decode_request("not json").expect_err("not a request");
+    wire::encode_response(&wire::Response {
+        id: 0,
+        outcome: Err(err.to_string()),
+    })
+}
+
+/// One newline-terminated request line for [`cheap_request`].
+fn cheap_line(id: u64) -> String {
+    let mut line = wire::encode_request(&wire::Request {
+        id,
+        body: wire::RequestBody::Query(cheap_request("GALT")),
+    });
+    line.push('\n');
+    line
+}
+
+#[test]
+fn short_write_fault_sends_half_a_line_then_eof() {
+    let (_stall, handle) = fault_server(FaultPlan {
+        short_write: true,
+        ..Default::default()
+    });
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    stream
+        .write_all(b"not json\nnot json\n")
+        .expect("write requests");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut got = Vec::new();
+    stream.read_to_end(&mut got).expect("read to EOF");
+    // Half of the first response's bytes — no newline, nothing of the
+    // second response — then EOF.
+    let full = garbage_response_line();
+    assert_eq!(
+        String::from_utf8_lossy(&got),
+        full[..full.len() / 2],
+        "short write sends exactly half of the first line"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn close_after_fault_sends_exactly_n_answers_then_eof() {
+    let (_stall, handle) = fault_server(FaultPlan {
+        close_after: 2,
+        ..Default::default()
+    });
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let requests: String = (1..=4).map(cheap_line).collect();
+    stream.write_all(requests.as_bytes()).expect("pipeline");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut got = String::new();
+    stream.read_to_string(&mut got).expect("read to EOF");
+    let lines: Vec<&str> = got.lines().collect();
+    assert_eq!(lines.len(), 2, "exactly close_after answers: {got}");
+    assert!(got.ends_with('\n'), "both answers are whole lines");
+    for (id, line) in (1u64..).zip(&lines) {
+        let response = wire::decode_response(line).expect("answer decodes");
+        assert_eq!(response.id, id, "answers arrive in request order");
+        assert!(response.outcome.is_ok(), "answer {id} is a success: {line}");
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn blackhole_fault_sends_no_bytes_before_the_read_timeout() {
+    let (_stall, handle) = fault_server(FaultPlan {
+        blackhole: true,
+        ..Default::default()
+    });
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .expect("read timeout");
+    stream.write_all(cheap_line(1).as_bytes()).expect("request");
+    let mut buf = [0u8; 256];
+    match stream.read(&mut buf) {
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the read times out: {e}"
+        ),
+        Ok(n) => panic!("blackhole leaked {n} bytes: {:?}", &buf[..n]),
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn response_delay_fault_holds_each_answer_back() {
+    const DELAY_MS: u64 = 300;
+    let (_stall, handle) = fault_server(FaultPlan {
+        response_delay_ms: DELAY_MS,
+        ..Default::default()
+    });
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let start = std::time::Instant::now();
+    let resp = client
+        .query(&cheap_request("GALT"))
+        .expect("delayed answer");
+    let rtt = start.elapsed();
+    assert_eq!(resp.total_answers, 15, "the delayed answer is intact");
+    assert!(
+        rtt >= Duration::from_millis(DELAY_MS),
+        "round trip {rtt:?} is at least the injected delay"
+    );
+    handle.shutdown();
 }
