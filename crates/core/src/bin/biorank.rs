@@ -1113,9 +1113,10 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
     let q = &result.query;
     // `--estimator auto` (which `--explain` implies unless an engine
     // was pinned): run the cost-based planner over the integrated
-    // graph and execute the chosen strategy — the same features, model
-    // seed, and strategy → method mapping the service's auto path
-    // uses, so a local plan matches what a fresh server would pick.
+    // graph and execute the chosen strategy — the same features,
+    // static model, and strategy → method mapping the service's auto
+    // path uses, so a local plan matches the plan any server gives
+    // the same request.
     let mut method = opts.method.clone();
     let mut estimator = opts.effective_estimator();
     let mut chosen_plan = None;

@@ -2,7 +2,7 @@
 //!
 //! The planner never runs a candidate strategy to find out what it
 //! costs — it reads a small feature vector off the integrated query
-//! graph and scores a calibrated model (see [`crate::planner`]). The
+//! graph and scores a static cost model (see [`crate::planner`]). The
 //! expensive-looking part, one pass of the paper's reduction rules
 //! over a throwaway clone, is `O(V + E)` to fixpoint and is exactly
 //! the preprocessing `ReducedMc` would run anyway — so extraction
@@ -69,14 +69,6 @@ impl GraphFeatures {
         self.schema_reducible = reducible;
         self
     }
-
-    /// Fraction of edges the reduction removed, in `[0, 1]`.
-    pub fn shrink(&self) -> f64 {
-        if self.edges == 0 {
-            return 0.0;
-        }
-        f64::from(self.edges - self.reduced_edges.min(self.edges)) / f64::from(self.edges)
-    }
 }
 
 /// The trial policy of the request being planned, mirrored from the
@@ -91,16 +83,6 @@ pub enum TrialsPolicy {
         /// Hard trial ceiling when the ranking never certifies.
         max_trials: u32,
     },
-}
-
-impl TrialsPolicy {
-    /// The hard trial budget of either policy.
-    pub fn budget(&self) -> u32 {
-        match *self {
-            TrialsPolicy::Fixed(n) => n,
-            TrialsPolicy::Adaptive { max_trials } => max_trials,
-        }
-    }
 }
 
 /// The complete planner input: graph structure plus the per-request
@@ -177,7 +159,6 @@ mod tests {
         // Serial collapses leave only source → target.
         assert_eq!(f.reduced_nodes, 2);
         assert_eq!(f.reduced_edges, 1);
-        assert!(f.shrink() > 0.5);
         assert!(!f.schema_reducible);
         assert!(f.with_schema_reducible(true).schema_reducible);
     }
@@ -203,11 +184,5 @@ mod tests {
         let a = GraphFeatures::extract(&chain());
         let b = GraphFeatures::extract(&chain());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn trials_policy_budget() {
-        assert_eq!(TrialsPolicy::Fixed(500).budget(), 500);
-        assert_eq!(TrialsPolicy::Adaptive { max_trials: 9 }.budget(), 9);
     }
 }

@@ -35,9 +35,9 @@ use std::time::{Duration, Instant};
 use biorank_mediator::{ExploratoryQuery, IntegrationResult, Mediator};
 use biorank_obs::{MetricsRegistry, MetricsSnapshot, TraceRecorder, TraceSpan};
 use biorank_rank::{
-    AdaptiveRunner, CalibrationInput, Certificate, CertificateMode, ClosedReliability, CostModel,
-    Diffusion, GraphFeatures, InEdge, PathCount, Plan, PlanFeatures, Propagation, Ranker, Ranking,
-    ReducedMc, Scores, Strategy, StrategyTelemetry, TraversalMc, TrialsPolicy, WordMc,
+    AdaptiveRunner, Certificate, CertificateMode, ClosedReliability, CostModel, Diffusion,
+    GraphFeatures, InEdge, PathCount, Plan, PlanFeatures, Propagation, Ranker, Ranking, ReducedMc,
+    Scores, Strategy, TraversalMc, TrialsPolicy, WordMc,
 };
 use biorank_schema::{check_query_reducible, ComposeHints, Schema};
 
@@ -707,13 +707,6 @@ pub struct QueryEngine {
     /// for the planner's schema-reducibility feature (see
     /// [`QueryEngine::with_hints`]).
     hints: ComposeHints,
-    /// The calibrated planner cost model. A plain mutex: planning
-    /// copies the (small, `Copy`) model out; only the rare
-    /// recalibration writes.
-    planner: Mutex<CostModel>,
-    /// Planned executions since startup, driving the periodic
-    /// recalibration cadence ([`RECALIBRATION_INTERVAL`]).
-    planned: AtomicU64,
 }
 
 /// A single-flight entry: followers block on `done` until the leader
@@ -756,21 +749,16 @@ pub const DEFAULT_CACHE_SHARDS: usize = 16;
 /// the scheduling of the chunks follows the hardware.
 pub const PARALLEL_MC_CHUNKS: usize = 8;
 
-/// Planned executions between automatic cost-model recalibrations
-/// ([`QueryEngine::recalibrate`]). Small enough that a warm server
-/// converges toward its own hardware within the first minutes of
-/// traffic, large enough that calibration cost is noise.
-pub const RECALIBRATION_INTERVAL: u64 = 64;
-
 /// The outcome of resolving one `estimator: auto` request: the
-/// rewritten request that actually executes, the plan to echo, and
-/// whether feature extraction had to run integration itself (so the
-/// response's `cached_graph` can stay truthful).
+/// rewritten request that actually executes, and the plan to echo.
 struct Planned {
     request: QueryRequest,
     plan: Plan,
-    fresh_graph: bool,
 }
+
+/// An integrated query graph and whether it came from the graph
+/// cache.
+type Fetched = (Arc<IntegrationResult>, bool);
 
 impl QueryEngine {
     /// Creates an engine over a mediator with the default cache size.
@@ -792,8 +780,6 @@ impl QueryEngine {
             flights: Mutex::new(HashMap::new()),
             features: ShardedLru::new(capacity, DEFAULT_CACHE_SHARDS),
             hints: ComposeHints::none(),
-            planner: Mutex::new(CostModel::default()),
-            planned: AtomicU64::new(0),
         }
     }
 
@@ -807,10 +793,11 @@ impl QueryEngine {
         self
     }
 
-    /// A copy of the planner's current (possibly calibrated) cost
-    /// model.
+    /// The planner's cost model: [`CostModel::default`], constant for
+    /// the life of the engine, so a plan depends only on the graph's
+    /// features and the request.
     pub fn planner_model(&self) -> CostModel {
-        *self.planner.lock().expect("planner model")
+        CostModel::default()
     }
 
     /// The wrapped mediator.
@@ -872,8 +859,9 @@ impl QueryEngine {
         // `estimator: auto` resolves into a concrete strategy *here*,
         // before the result key is formed — planned and explicit
         // requests for the chosen strategy share one cache entry and
-        // execute identical code paths.
-        let planned = self.resolve_plan(req, &mut trace)?;
+        // execute identical code paths. A graph the planner had to
+        // fetch is handed on, so the request integrates at most once.
+        let (planned, mut fetched) = self.resolve_plan(req, &mut trace)?;
         let req = planned.as_ref().map_or(req, |p| &p.request);
         let result_key = (req.query.clone(), req.spec.cache_key());
         let coverage = req.coverage();
@@ -888,8 +876,9 @@ impl QueryEngine {
 
             if let Some(ranked) = hit {
                 self.note_warm_hit(&result_key);
+                let cached_graph = fetched.as_ref().is_none_or(|(_, hit)| *hit);
                 let (response, serialize_ns) = trace.time("serialize", || {
-                    Self::assemble(&ranked, req.top, true, true, start)
+                    Self::assemble(&ranked, req.top, cached_graph, true, start)
                 });
                 self.metrics
                     .histogram("stage_ns.serialize")
@@ -925,45 +914,43 @@ impl QueryEngine {
                     trace.span("coalesce", waited.elapsed().as_nanos() as u64);
                 }
                 Ok(flight) => {
-                    let out = self.compute(req, &result_key, coverage, &mut trace, start, deadline);
+                    let out = self.compute(
+                        req,
+                        fetched.take(),
+                        &result_key,
+                        &mut trace,
+                        start,
+                        deadline,
+                    );
                     self.flights.lock().expect("flight map").remove(&result_key);
                     flight.signal();
                     break out?;
                 }
             }
         };
-        if let Some(planned) = &planned {
-            self.note_planned(&mut response, planned);
-        }
+        response.plan = planned.map(|p| p.plan);
         response.trace = trace.into_spans();
         Ok(response)
     }
 
     /// The miss path of [`execute`](QueryEngine::execute), run under
     /// single-flight leadership of `result_key`: integrate (through
-    /// the graph cache), rank, record stage metrics, and publish to the
-    /// result cache.
+    /// the graph cache, unless the planner already `fetched` the
+    /// graph), rank, record stage metrics, and publish to the result
+    /// cache.
     fn compute(
         &self,
         req: &QueryRequest,
+        fetched: Option<Fetched>,
         result_key: &(ExploratoryQuery, RankerSpec),
-        coverage: Coverage,
         trace: &mut TraceRecorder,
         start: Instant,
         deadline: Option<Instant>,
     ) -> Result<QueryResponse, Error> {
-        let (graph, graph_ns) = trace.time("graph", || -> Result<_, Error> {
-            match self.graphs.get(&req.query) {
-                Some(hit) => Ok((hit, true)),
-                None => {
-                    let computed = Arc::new(self.mediator.execute(&req.query)?);
-                    self.graphs.insert(req.query.clone(), computed.clone());
-                    Ok((computed, false))
-                }
-            }
-        });
-        self.metrics.histogram("stage_ns.graph").record(graph_ns);
-        let (integration, cached_graph) = graph?;
+        let (integration, cached_graph) = match fetched {
+            Some(fetched) => fetched,
+            None => self.graph(&req.query, trace)?,
+        };
 
         // The scoring stage splits into "estimate" (estimator batches,
         // plus ranking assembly) and "certify" (the adaptive runner's
@@ -971,8 +958,13 @@ impl QueryEngine {
         // runs) — certify is measured inside the run, estimate is the
         // remainder, so the two always sum to the full scoring time.
         let rank_start = Instant::now();
-        let (ranked, certify_ns) =
-            Self::rank(&integration, &req.query, &req.spec, coverage, deadline)?;
+        let (ranked, certify_ns) = Self::rank(
+            &integration,
+            &req.query,
+            &req.spec,
+            req.coverage(),
+            deadline,
+        )?;
         let estimate_ns = (rank_start.elapsed().as_nanos() as u64).saturating_sub(certify_ns);
         trace.span("estimate", estimate_ns);
         trace.span("certify", certify_ns);
@@ -1045,185 +1037,110 @@ impl QueryEngine {
         }
     }
 
+    /// The integrated graph of `query` through the graph cache, timed
+    /// as the `graph` stage.
+    fn graph(&self, query: &ExploratoryQuery, trace: &mut TraceRecorder) -> Result<Fetched, Error> {
+        let (graph, graph_ns) = trace.time("graph", || -> Result<_, Error> {
+            match self.graphs.get(query) {
+                Some(hit) => Ok((hit, true)),
+                None => {
+                    let computed = Arc::new(self.mediator.execute(query)?);
+                    self.graphs.insert(query.clone(), computed.clone());
+                    Ok((computed, false))
+                }
+            }
+        });
+        self.metrics.histogram("stage_ns.graph").record(graph_ns);
+        graph
+    }
+
     /// Resolves an `estimator: auto` request into the concrete
     /// strategy the planner chooses, or `None` when the request
     /// doesn't ask for planning. Bumps `planner.chosen.<strategy>` and
-    /// `planner.fallback`, and records the whole resolution as the
-    /// `plan` trace span.
+    /// `planner.fallback`, and records the resolution as the `plan`
+    /// trace span. On a feature-cache miss the graph is fetched first
+    /// (the `graph` stage) and returned, for the caller to rank on.
     fn resolve_plan(
         &self,
         req: &QueryRequest,
         trace: &mut TraceRecorder,
-    ) -> Result<Option<Planned>, Error> {
+    ) -> Result<(Option<Planned>, Option<Fetched>), Error> {
         if req.spec.estimator != Some(Estimator::Auto) || !req.spec.method.is_plannable() {
             // Non-plannable methods ignore the estimator field
             // everywhere (cache keys included), so `auto` on them
             // needs no rewriting at all.
-            return Ok(None);
+            return Ok((None, None));
         }
-        let (planned, plan_ns) = trace.time("plan", || -> Result<_, Error> {
-            let (graph, fresh_graph) = self.plan_features(&req.query)?;
-            let features = PlanFeatures::for_request(
-                graph,
-                match req.coverage() {
-                    Coverage::TopK(k) => Some(k as u32),
-                    Coverage::Full => None,
-                },
-                Self::trials_policy(req.spec.trials),
-            );
-            let model = self.planner_model();
-            let plan = biorank_rank::plan(&features, &model);
+        let cached = self.features.get(&req.query);
+        let fetched = match cached {
+            Some(_) => None,
+            None => Some(self.graph(&req.query, trace)?),
+        };
+        let (planned, plan_ns) = trace.time("plan", || {
+            let graph = cached.unwrap_or_else(|| {
+                let (integration, _) = fetched.as_ref().expect("fetched on a feature miss");
+                let features = self.graph_features(&req.query, integration);
+                self.features.insert(req.query.clone(), features);
+                features
+            });
+            let plan = Self::plan_request(req, graph);
             self.metrics.counter(chosen_metric(plan.strategy)).inc();
             if plan.fallback {
                 self.metrics.counter("planner.fallback").inc();
             }
             let mut request = req.clone();
             request.spec = spec_for_strategy(plan.strategy, &req.spec);
-            Ok(Planned {
-                request,
-                plan,
-                fresh_graph,
-            })
+            Planned { request, plan }
         });
         self.metrics.histogram("stage_ns.plan").record(plan_ns);
-        planned.map(Some)
+        Ok((Some(planned), fetched))
     }
 
-    /// The planner features of one query's integrated graph, through
-    /// the feature cache (and, on a miss, the graph cache). The bool
-    /// reports whether this call had to run integration itself.
-    fn plan_features(&self, query: &ExploratoryQuery) -> Result<(GraphFeatures, bool), Error> {
-        if let Some(features) = self.features.get(query) {
-            return Ok((features, false));
-        }
-        let (integration, fresh) = match self.graphs.get(query) {
-            Some(hit) => (hit, false),
-            None => {
-                let computed = Arc::new(self.mediator.execute(query)?);
-                self.graphs.insert(query.clone(), computed.clone());
-                (computed, true)
-            }
+    /// The structural planner features of one query's integrated
+    /// graph, with the Theorem 3.2 verdict from this engine's hints
+    /// (see [`query_schema_reducible`]).
+    fn graph_features(
+        &self,
+        query: &ExploratoryQuery,
+        integration: &IntegrationResult,
+    ) -> GraphFeatures {
+        GraphFeatures::extract(&integration.query).with_schema_reducible(query_schema_reducible(
+            self.mediator.schema(),
+            &self.hints,
+            query,
+        ))
+    }
+
+    /// The planner's verdict on `req` over a graph with structure
+    /// `graph`: the one place a request becomes [`PlanFeatures`].
+    fn plan_request(req: &QueryRequest, graph: GraphFeatures) -> Plan {
+        let top_k = match req.coverage() {
+            Coverage::TopK(k) => Some(k as u32),
+            Coverage::Full => None,
         };
-        let features = GraphFeatures::extract(&integration.query)
-            .with_schema_reducible(self.schema_reducible(query));
-        self.features.insert(query.clone(), features);
-        Ok((features, fresh))
-    }
-
-    /// Theorem 3.2 verdict for one query's schema shape under this
-    /// engine's compose hints (see [`query_schema_reducible`]).
-    fn schema_reducible(&self, query: &ExploratoryQuery) -> bool {
-        query_schema_reducible(self.mediator.schema(), &self.hints, query)
-    }
-
-    /// Post-execution bookkeeping of a planned request: patches the
-    /// response's provenance flags, attaches the plan echo, and — for
-    /// computed (non-cache-hit) executions — feeds the
-    /// observed/predicted latency pair into the calibration
-    /// histograms, recalibrating every [`RECALIBRATION_INTERVAL`]
-    /// planned computations.
-    fn note_planned(&self, response: &mut QueryResponse, planned: &Planned) {
-        if planned.fresh_graph {
-            response.cached_graph = false;
-        }
-        if !response.cached_scores {
-            let strategy = planned.plan.strategy;
-            self.metrics
-                .histogram(observed_metric(strategy))
-                .record(response.micros.saturating_mul(1_000));
-            self.metrics
-                .histogram(predicted_metric(strategy))
-                .record(planned.plan.predicted_ns);
-            let planned_so_far = self.planned.fetch_add(1, Ordering::Relaxed) + 1;
-            if planned_so_far % RECALIBRATION_INTERVAL == 0 {
-                self.recalibrate();
-            }
-        }
-        response.plan = Some(planned.plan);
-    }
-
-    /// One cost-model calibration round against this engine's current
-    /// metrics. Returns `true` (and bumps `planner.recalibrations`)
-    /// when any model constant moved. Runs automatically every
-    /// [`RECALIBRATION_INTERVAL`] planned computations; public so
-    /// operators and tests can force a round.
-    pub fn recalibrate(&self) -> bool {
-        let snapshot = self.metrics.snapshot();
-        self.recalibrate_from(&snapshot)
-    }
-
-    /// Calibration from an explicit snapshot. Deterministic: the same
-    /// snapshot applied to the same model always yields the same
-    /// blended model (see [`CostModel::calibrate`]).
-    pub fn recalibrate_from(&self, snapshot: &MetricsSnapshot) -> bool {
-        let input = Self::calibration_input(snapshot);
-        let moved = self
-            .planner
-            .lock()
-            .expect("planner model")
-            .calibrate(&input);
-        if moved {
-            self.metrics.counter("planner.recalibrations").inc();
-        }
-        moved
-    }
-
-    /// Distills a metrics snapshot into the planner's calibration
-    /// shape: per-strategy observed/predicted latency means from the
-    /// `planner.{observed,predicted}_ns.*` histograms, plus the mean
-    /// adaptive trial fraction from `trials_used` (normalized against
-    /// the default ceiling every adaptive client inherits).
-    fn calibration_input(snapshot: &MetricsSnapshot) -> CalibrationInput {
-        let mut input = CalibrationInput::default();
-        for strategy in Strategy::ALL {
-            let observed = snapshot.histogram(observed_metric(strategy));
-            let predicted = snapshot.histogram(predicted_metric(strategy));
-            if observed.count > 0 && predicted.count > 0 {
-                input.observed[strategy.index()] = Some(StrategyTelemetry {
-                    observed_mean_ns: observed.mean(),
-                    predicted_mean_ns: predicted.mean(),
-                    samples: observed.count,
-                });
-            }
-        }
-        let trials = snapshot.histogram("trials_used");
-        if trials.count >= biorank_rank::planner::MIN_CALIBRATION_SAMPLES {
-            input.mean_trials_frac = Some(trials.mean() / f64::from(RankerSpec::DEFAULT_TRIALS));
-        }
-        input
-    }
-
-    /// The planner's view of one trial policy.
-    fn trials_policy(trials: Trials) -> TrialsPolicy {
-        match trials {
+        let trials = match req.spec.trials {
             Trials::Fixed(n) => TrialsPolicy::Fixed(n),
             Trials::Adaptive(cfg) => TrialsPolicy::Adaptive {
                 max_trials: cfg.max_trials,
             },
-        }
+        };
+        biorank_rank::plan(
+            &PlanFeatures::for_request(graph, top_k, trials),
+            &CostModel::default(),
+        )
     }
 
     /// Integrates and ranks without touching the caches (used by the
     /// cache-coherence test to cross-check cached responses). `auto`
-    /// requests are planned here too — against the same live model,
-    /// so an uncached cross-check sees the same strategy `execute`
-    /// resolves to.
+    /// requests are planned here too, exactly as `execute` plans
+    /// them.
     pub fn execute_uncached(&self, req: &QueryRequest) -> Result<QueryResponse, Error> {
         let start = Instant::now();
         let integration = self.mediator.execute(&req.query)?;
         let mut spec = req.spec;
         let mut plan_echo = None;
         if spec.estimator == Some(Estimator::Auto) && spec.method.is_plannable() {
-            let features = PlanFeatures::for_request(
-                GraphFeatures::extract(&integration.query)
-                    .with_schema_reducible(self.schema_reducible(&req.query)),
-                match req.coverage() {
-                    Coverage::TopK(k) => Some(k as u32),
-                    Coverage::Full => None,
-                },
-                Self::trials_policy(spec.trials),
-            );
-            let plan = biorank_rank::plan(&features, &self.planner_model());
+            let plan = Self::plan_request(req, self.graph_features(&req.query, &integration));
             spec = spec_for_strategy(plan.strategy, &req.spec);
             plan_echo = Some(plan);
         }
@@ -1524,26 +1441,6 @@ fn chosen_metric(strategy: Strategy) -> &'static str {
         Strategy::ReducedMc => "planner.chosen.reduced",
         Strategy::WordMc => "planner.chosen.word",
         Strategy::TraversalMc => "planner.chosen.traversal",
-    }
-}
-
-/// `planner.observed_ns.<strategy>` histogram name.
-fn observed_metric(strategy: Strategy) -> &'static str {
-    match strategy {
-        Strategy::Exact => "planner.observed_ns.exact",
-        Strategy::ReducedMc => "planner.observed_ns.reduced",
-        Strategy::WordMc => "planner.observed_ns.word",
-        Strategy::TraversalMc => "planner.observed_ns.traversal",
-    }
-}
-
-/// `planner.predicted_ns.<strategy>` histogram name.
-fn predicted_metric(strategy: Strategy) -> &'static str {
-    match strategy {
-        Strategy::Exact => "planner.predicted_ns.exact",
-        Strategy::ReducedMc => "planner.predicted_ns.reduced",
-        Strategy::WordMc => "planner.predicted_ns.word",
-        Strategy::TraversalMc => "planner.predicted_ns.traversal",
     }
 }
 

@@ -85,7 +85,7 @@ pub use cache::{CacheStats, ShardedLru};
 pub use engine::{
     query_schema_reducible, run_adaptive, spec_for_strategy, AdaptiveConfig, Coverage, EngineStats,
     Estimator, Method, QueryEngine, QueryRequest, QueryResponse, RankedAnswer, RankedResult,
-    RankerSpec, Trials, DEFAULT_CACHE_CAPACITY, PARALLEL_MC_CHUNKS, RECALIBRATION_INTERVAL,
+    RankerSpec, Trials, DEFAULT_CACHE_CAPACITY, PARALLEL_MC_CHUNKS,
 };
 pub use persist::{export_snapshot, import_snapshot, snapshot_spec};
 pub use pool::WorkerPool;

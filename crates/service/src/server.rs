@@ -33,16 +33,17 @@
 //!
 //! **Planning is opt-out, not invisible.** The serve default is
 //! `estimator: "auto"`: the engine scores exact / reduced / word /
-//! traversal strategies against a calibrated cost model and runs the
+//! traversal strategies against a static cost model and runs the
 //! cheapest, echoing `plan: {strategy, predicted_ns, fallback,
 //! features}` on the response next to the certificate. The echo is
 //! observational only — a planned request and an explicit request for
 //! the chosen strategy share one cache entry and identical answer
 //! bytes. An explicit `estimator` (or a non-`mc` method) routes
-//! around the planner entirely. Per-world `planner.chosen.<strategy>`,
-//! `planner.fallback`, and `planner.recalibrations` counters appear in
-//! the `metrics` admin op, and `world.list` rows carry the same
-//! chosen-strategy rollup.
+//! around the planner entirely. The model never learns from traffic,
+//! so the same request gets the same plan for the life of the server.
+//! Per-world `planner.chosen.<strategy>` and `planner.fallback`
+//! counters appear in the `metrics` admin op, and `world.list` rows
+//! carry the same chosen-strategy rollup.
 //!
 //! **Metrics histogram echo.** The `metrics` admin op serialises each
 //! histogram's non-empty buckets as `[bucket_index, count]` pairs —
@@ -210,8 +211,8 @@ impl Default for ServeOptions {
     /// under the adaptive (ε = 0.02, δ = 0.05, ceiling 10⁴) trial
     /// policy. The planner scores the closed exact solution, reduced
     /// traversal MC, the wide word engine, and plain traversal MC
-    /// against a telemetry-calibrated cost model per query and runs
-    /// the cheapest — the chosen plan is echoed on the response.
+    /// against a static cost model per query and runs the cheapest —
+    /// the chosen plan is echoed on the response.
     /// Clients opt out of planning with an explicit `estimator:
     /// "word"`/`"traversal"` per request (never overridden), or pin
     /// the paper's fixed reference schedule with an explicit `trials`
@@ -640,20 +641,15 @@ fn response_line(response: &wire::Response) -> String {
 }
 
 /// Best-effort id recovery from a request line that will not (or did
-/// not) decode: a valid JSON object with a non-negative numeric `id`
-/// yields it, anything else yields 0.
+/// not) decode: a valid JSON object whose `id` would decode (an
+/// integer in `0..2^53`) yields it, anything else yields 0 — never a
+/// rounded or truncated id the client did not send.
 fn salvage_id(line: &str) -> u64 {
-    wire::Json::parse(line)
-        .ok()
-        .and_then(|v| match v {
-            wire::Json::Obj(f) => f.get("id").cloned(),
-            _ => None,
-        })
-        .and_then(|v| match v {
-            wire::Json::Num(n) if n >= 0.0 => Some(n as u64),
-            _ => None,
-        })
-        .unwrap_or(0)
+    match wire::Json::parse(line) {
+        Ok(wire::Json::Obj(f)) => f.get("id").and_then(wire::Json::as_exact_u64),
+        _ => None,
+    }
+    .unwrap_or(0)
 }
 
 /// Parses one request line and schedules its execution; encoding

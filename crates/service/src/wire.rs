@@ -161,6 +161,13 @@ impl Json {
         }
     }
 
+    /// A request integer: [`as_u64`](Json::as_u64) limited to the
+    /// integers an `f64` holds exactly, so the value decoded is the
+    /// value the client wrote.
+    pub(crate) fn as_exact_u64(&self) -> Option<u64> {
+        self.as_u64().filter(|&n| n <= MAX_EXACT_INTEGER)
+    }
+
     fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
@@ -272,6 +279,14 @@ fn wire_err(message: impl Into<String>) -> WireError {
         message: message.into(),
     }
 }
+
+/// The largest integer a request field accepts, 2^53 − 1. Above it
+/// neighbouring integers share one `f64` (the I-JSON interoperable
+/// range, RFC 7493 §2.2): `9007199254740993` parses as
+/// `9007199254740992`, so a reply would carry an id the client never
+/// sent. Request decoding enforces it; numbers the server writes, such
+/// as histogram sums in `metrics`, may exceed it and decode as before.
+const MAX_EXACT_INTEGER: u64 = (1 << 53) - 1;
 
 /// How deeply arrays and objects may nest. Every protocol message
 /// nests a handful of levels; the cap keeps a line of `[`s from
@@ -451,12 +466,17 @@ impl Parser<'_> {
     }
 
     fn hex4(&mut self) -> Result<u32, WireError> {
-        if self.pos + 4 > self.bytes.len() {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(self.err("truncated \\u escape"));
+        };
+        // Exactly four hex digits: no sign, unlike `from_str_radix`.
+        let mut cp = 0;
+        for &d in digits {
+            let Some(v) = char::from(d).to_digit(16) else {
+                return Err(self.err("invalid \\u escape"));
+            };
+            cp = cp << 4 | v;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(cp)
     }
@@ -683,6 +703,32 @@ fn get_u64(fields: &BTreeMap<String, Json>, key: &str) -> Result<u64, WireError>
         .ok_or_else(|| wire_err(format!("field {key:?} must be a non-negative integer")))
 }
 
+fn get_bool(fields: &BTreeMap<String, Json>, key: &str) -> Result<bool, WireError> {
+    opt_bool(fields, key)?.ok_or_else(|| wire_err(format!("missing field {key:?}")))
+}
+
+/// An optional boolean field.
+fn opt_bool(fields: &BTreeMap<String, Json>, key: &str) -> Result<Option<bool>, WireError> {
+    let value = |v: &Json| {
+        v.as_bool()
+            .ok_or_else(|| wire_err(format!("field {key:?} must be a boolean")))
+    };
+    fields.get(key).map(value).transpose()
+}
+
+/// An optional request integer, exact or an error (see
+/// [`MAX_EXACT_INTEGER`]).
+fn opt_int(fields: &BTreeMap<String, Json>, key: &str) -> Result<Option<u64>, WireError> {
+    let value = |v: &Json| {
+        v.as_exact_u64().ok_or_else(|| {
+            wire_err(format!(
+                "field {key:?} must be a non-negative integer below 2^53"
+            ))
+        })
+    };
+    fields.get(key).map(value).transpose()
+}
+
 /// Encodes a request as one JSON line (no trailing newline).
 pub fn encode_request(r: &Request) -> String {
     match &r.body {
@@ -875,7 +921,7 @@ pub fn decode_request_with(line: &str, defaults: &RequestDefaults) -> Result<Req
     let Json::Obj(fields) = Json::parse(line)? else {
         return Err(wire_err("request must be a JSON object"));
     };
-    let id = get_u64(&fields, "id")?;
+    let id = opt_int(&fields, "id")?.ok_or_else(|| wire_err("missing field \"id\""))?;
     let cmd = match fields.get("cmd") {
         None => "query".to_string(),
         Some(v) => v
@@ -888,27 +934,12 @@ pub fn decode_request_with(line: &str, defaults: &RequestDefaults) -> Result<Req
         "world.load" => RequestBody::Admin(AdminRequest::Load {
             world: get_str(&fields, "world")?,
             spec: decode_world_spec(&fields)?,
-            background: fields
-                .get("background")
-                .map(|v| {
-                    v.as_bool()
-                        .ok_or_else(|| wire_err("field \"background\" must be a boolean"))
-                })
-                .transpose()?
-                .unwrap_or(false),
+            background: opt_bool(&fields, "background")?.unwrap_or(false),
         }),
         "world.swap" => RequestBody::Admin(AdminRequest::Swap {
             world: get_str(&fields, "world")?,
             spec: decode_world_spec(&fields)?,
-            warm: fields
-                .get("warm")
-                .map(|v| {
-                    v.as_u64()
-                        .map(|w| w as usize)
-                        .ok_or_else(|| wire_err("field \"warm\" must be a non-negative integer"))
-                })
-                .transpose()?
-                .unwrap_or(DEFAULT_SWAP_WARM),
+            warm: opt_int(&fields, "warm")?.map_or(DEFAULT_SWAP_WARM, |w| w as usize),
         }),
         "world.evict" => RequestBody::Admin(AdminRequest::Evict {
             world: get_str(&fields, "world")?,
@@ -921,14 +952,7 @@ pub fn decode_request_with(line: &str, defaults: &RequestDefaults) -> Result<Req
         "world.list" => RequestBody::Admin(AdminRequest::List),
         "stats" => RequestBody::Admin(AdminRequest::Stats),
         "metrics" => RequestBody::Admin(AdminRequest::Metrics {
-            reset: fields
-                .get("reset")
-                .map(|v| {
-                    v.as_bool()
-                        .ok_or_else(|| wire_err("field \"reset\" must be a boolean"))
-                })
-                .transpose()?
-                .unwrap_or(false),
+            reset: opt_bool(&fields, "reset")?.unwrap_or(false),
         }),
         other => return Err(wire_err(format!("unknown cmd {other:?}"))),
     };
@@ -944,40 +968,23 @@ fn decode_world_spec(fields: &BTreeMap<String, Json>) -> Result<WorldSpec, WireE
         .map(decode_seed)
         .transpose()?
         .unwrap_or(defaults.seed);
-    let extended = fields
-        .get("extended")
-        .map(|v| {
-            v.as_bool()
-                .ok_or_else(|| wire_err("field \"extended\" must be a boolean"))
-        })
-        .transpose()?
-        .unwrap_or(defaults.extended);
-    let cache_capacity = fields
-        .get("cache")
-        .map(|v| {
-            v.as_u64()
-                .map(|c| c as usize)
-                .ok_or_else(|| wire_err("field \"cache\" must be a non-negative integer"))
-        })
-        .transpose()?
-        .unwrap_or(defaults.cache_capacity);
     Ok(WorldSpec {
         seed,
-        extended,
-        cache_capacity,
+        extended: opt_bool(fields, "extended")?.unwrap_or(defaults.extended),
+        cache_capacity: opt_int(fields, "cache")?.map_or(defaults.cache_capacity, |c| c as usize),
     })
 }
 
 /// Accept both a decimal string (the canonical encoding, exact for all
-/// u64) and a small JSON integer (hand-written clients).
+/// u64) and a JSON integer below 2^53 (hand-written clients).
 fn decode_seed(v: &Json) -> Result<u64, WireError> {
     match v {
         Json::Str(s) => s
             .parse::<u64>()
             .map_err(|_| wire_err("field \"seed\" must be a u64 decimal string")),
         _ => v
-            .as_u64()
-            .ok_or_else(|| wire_err("field \"seed\" must be a non-negative integer")),
+            .as_exact_u64()
+            .ok_or_else(|| wire_err("field \"seed\" must be a non-negative integer below 2^53")),
     }
 }
 
@@ -1009,14 +1016,7 @@ fn decode_query_body(
         .map(decode_seed)
         .transpose()?
         .unwrap_or(RankerSpec::DEFAULT_SEED);
-    let parallel = fields
-        .get("parallel")
-        .map(|v| {
-            v.as_bool()
-                .ok_or_else(|| wire_err("field \"parallel\" must be a boolean"))
-        })
-        .transpose()?
-        .unwrap_or(false);
+    let parallel = opt_bool(fields, "parallel")?.unwrap_or(false);
     let estimator = fields
         .get("estimator")
         .map(|v| {
@@ -1025,22 +1025,8 @@ fn decode_query_body(
             })
         })
         .transpose()?;
-    let top = fields
-        .get("top")
-        .map(|v| {
-            v.as_u64()
-                .map(|t| t as usize)
-                .ok_or_else(|| wire_err("field \"top\" must be a non-negative integer"))
-        })
-        .transpose()?;
-    let certify_top = fields
-        .get("certify_top")
-        .map(|v| {
-            v.as_bool()
-                .ok_or_else(|| wire_err("field \"certify_top\" must be a boolean"))
-        })
-        .transpose()?
-        .unwrap_or(false);
+    let top = opt_int(fields, "top")?.map(|t| t as usize);
+    let certify_top = opt_bool(fields, "certify_top")?.unwrap_or(false);
     let world = fields
         .get("world")
         .map(|v| {
@@ -1049,23 +1035,11 @@ fn decode_query_body(
                 .ok_or_else(|| wire_err("field \"world\" must be a string"))
         })
         .transpose()?;
-    let trace = fields
-        .get("trace")
-        .map(|v| {
-            v.as_bool()
-                .ok_or_else(|| wire_err("field \"trace\" must be a boolean"))
-        })
-        .transpose()?
-        .unwrap_or(false);
-    let deadline_ms = fields
-        .get("deadline_ms")
-        .map(|v| {
-            v.as_u64()
-                .filter(|&ms| ms > 0)
-                .ok_or_else(|| wire_err("field \"deadline_ms\" must be a positive integer"))
-        })
-        .transpose()?
-        .or(defaults.deadline_ms);
+    let trace = opt_bool(fields, "trace")?.unwrap_or(false);
+    let deadline_ms = match opt_int(fields, "deadline_ms")? {
+        Some(0) => return Err(wire_err("field \"deadline_ms\" must be positive")),
+        ms => ms.or(defaults.deadline_ms),
+    };
     Ok(QueryRequest {
         query: ExploratoryQuery {
             input: get_str(fields, "input")?,
@@ -1212,14 +1186,10 @@ fn decode_plan(v: &Json) -> Result<Plan, WireError> {
         nodes: get_u32(g, "nodes")?,
         edges: get_u32(g, "edges")?,
         answers: get_u32(g, "answers")?,
-        acyclic: get(g, "acyclic")?
-            .as_bool()
-            .ok_or_else(|| wire_err("field \"acyclic\" must be a boolean"))?,
+        acyclic: get_bool(g, "acyclic")?,
         reduced_nodes: get_u32(g, "reduced_nodes")?,
         reduced_edges: get_u32(g, "reduced_edges")?,
-        schema_reducible: get(g, "schema_reducible")?
-            .as_bool()
-            .ok_or_else(|| wire_err("field \"schema_reducible\" must be a boolean"))?,
+        schema_reducible: get_bool(g, "schema_reducible")?,
     };
     let trials = if g.contains_key("trials") {
         TrialsPolicy::Fixed(get_u32(g, "trials")?)
@@ -1236,9 +1206,7 @@ fn decode_plan(v: &Json) -> Result<Plan, WireError> {
         strategy,
         predicted_ns: get_u64(f, "predicted_ns")?,
         features: PlanFeatures::for_request(graph, top_k, trials),
-        fallback: get(f, "fallback")?
-            .as_bool()
-            .ok_or_else(|| wire_err("field \"fallback\" must be a boolean"))?,
+        fallback: get_bool(f, "fallback")?,
     })
 }
 
@@ -1478,9 +1446,7 @@ fn decode_metrics_report(fields: &BTreeMap<String, Json>) -> Result<MetricsRepor
                 value: get_str(f, "value")?,
                 method: get_str(f, "method")?,
                 micros: get_u64(f, "micros")?,
-                cached: get(f, "cached")?
-                    .as_bool()
-                    .ok_or_else(|| wire_err("field \"cached\" must be a boolean"))?,
+                cached: get_bool(f, "cached")?,
             })
         })
         .collect::<Result<Vec<_>, _>>()?;
@@ -1608,9 +1574,7 @@ pub fn decode_response(line: &str) -> Result<Response, WireError> {
         return Err(wire_err("response must be a JSON object"));
     };
     let id = get_u64(&fields, "id")?;
-    let ok = get(&fields, "ok")?
-        .as_bool()
-        .ok_or_else(|| wire_err("field \"ok\" must be a boolean"))?;
+    let ok = get_bool(&fields, "ok")?;
     if !ok {
         return Ok(Response {
             id,
@@ -1744,9 +1708,7 @@ fn decode_query_response(fields: &BTreeMap<String, Json>) -> Result<QueryRespons
                 epsilon: get(f, "epsilon")?
                     .as_f64()
                     .ok_or_else(|| wire_err("field \"epsilon\" must be a number"))?,
-                certified: get(f, "certified")?
-                    .as_bool()
-                    .ok_or_else(|| wire_err("field \"certified\" must be a boolean"))?,
+                certified: get_bool(f, "certified")?,
                 mode,
             })
         })
@@ -1755,12 +1717,8 @@ fn decode_query_response(fields: &BTreeMap<String, Json>) -> Result<QueryRespons
         answers,
         total_answers: get_u64(fields, "total")? as usize,
         certificate,
-        cached_graph: get(fields, "cached_graph")?
-            .as_bool()
-            .ok_or_else(|| wire_err("field \"cached_graph\" must be a boolean"))?,
-        cached_scores: get(fields, "cached_scores")?
-            .as_bool()
-            .ok_or_else(|| wire_err("field \"cached_scores\" must be a boolean"))?,
+        cached_graph: get_bool(fields, "cached_graph")?,
+        cached_scores: get_bool(fields, "cached_scores")?,
         micros: get_u64(fields, "micros")?,
         trace: fields
             .get("trace")
@@ -1859,12 +1817,7 @@ fn decode_service_stats(fields: &BTreeMap<String, Json>) -> Result<ServiceStats,
         budget: get_u64(stats, "budget")? as usize,
         resident: get_u64(stats, "resident")? as usize,
         // Absent on pre-durability servers: decode to false.
-        durable: match stats.get("durable") {
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| wire_err("field \"durable\" must be a boolean"))?,
-            None => false,
-        },
+        durable: opt_bool(stats, "durable")?.unwrap_or(false),
         worlds,
     })
 }
@@ -1952,6 +1905,9 @@ mod tests {
             "\"\\ud800\\u0061\"",
             "\"\\ud800x\"",
             "\"\\udc00\"",
+            // Four hex digits exactly: no sign.
+            "\"\\u+041\"",
+            "\"\\u-041\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad} should fail");
         }
@@ -2366,6 +2322,19 @@ mod tests {
         let line = "{\"id\":1,\"input\":\"A\",\"attribute\":\"x\",\"value\":\"v\",\
                     \"outputs\":[\"B\"],\"method\":\"mc\",\"seed\":42}";
         assert_eq!(query_of(&decode_request(line).unwrap()).spec.seed, 42);
+    }
+
+    #[test]
+    fn admin_integers_past_2_pow_53_are_decode_errors() {
+        // Query fields: see tests/prop_wire_decode.rs.
+        for line in [
+            "{\"id\":9007199254740993,\"cmd\":\"stats\"}",
+            "{\"id\":1,\"cmd\":\"world.swap\",\"world\":\"w\",\"warm\":1e300}",
+            "{\"id\":1,\"cmd\":\"world.load\",\"world\":\"w\",\"cache\":9007199254740992}",
+        ] {
+            let err = decode_request(line).unwrap_err();
+            assert!(err.message.contains("below 2^53"), "{line}: {err}");
+        }
     }
 
     #[test]

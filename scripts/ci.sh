@@ -164,6 +164,21 @@ if [ "$served_total" -ne 5 ]; then
     echo "queries counter reads $served_total, expected 5 (4 planned + 1 forced)" >&2
     exit 1
 fi
+# A plan is a pure function of the request: a local and a remote
+# --explain with the same explicit flags must print the same strategy,
+# prediction and features, however much traffic the server has seen.
+# Only the measured `actual` time may differ.
+plan_lines() {
+    grep -E '^  plan: |^    features: ' | sed 's/, actual [0-9]* ns)/)/'
+}
+local_plan="$(./target/release/biorank query GALT --method mc --top 3 --trials 10000 --explain | plan_lines)"
+remote_plan="$(./target/release/biorank query GALT --addr "$addr" --method mc --top 3 --trials 10000 --explain | plan_lines)"
+if [ "$(echo "$local_plan" | wc -l)" -ne 2 ] || [ "$local_plan" != "$remote_plan" ]; then
+    echo "local and remote plans differ:" >&2
+    echo "local:  $local_plan" >&2
+    echo "remote: $remote_plan" >&2
+    exit 1
+fi
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 
@@ -211,8 +226,9 @@ restart_out="$(./target/release/biorank query GALT --addr "$addr" --method mc --
 echo "$restart_out" | grep -q "result cache hit"
 echo "$restart_out" | grep -v "candidate functions via" >"$answers_b"
 diff "$answers_a" "$answers_b"
-# Capture, then match — `grep -q` would close the pipe mid-print
-# (the planner histograms pushed `warm.replayed` off the tail).
+# Capture, then match: under pipefail, a `grep -q` that exits at its
+# first match can kill the printer with SIGPIPE once the metrics
+# listing outgrows the pipe buffer, failing the pipeline.
 restart_metrics="$(./target/release/biorank admin metrics --addr "$addr")"
 echo "$restart_metrics" | grep -q "warm.replayed"
 kill "$serve_pid" 2>/dev/null || true

@@ -1,9 +1,10 @@
 //! The cost-based query planner end to end: `estimator: "auto"`
 //! resolves to a concrete strategy before any cache key is formed, the
 //! chosen plan is echoed on the response (and only observed — it is
-//! never a cache-key dimension), plans are deterministic under a fixed
-//! calibration snapshot, and a planned execution is byte-identical to
-//! a client naming the chosen strategy outright.
+//! never a cache-key dimension), plans are a pure function of the
+//! request and never drift with traffic, a planned request integrates
+//! its query once, and a planned execution is byte-identical to a
+//! client naming the chosen strategy outright.
 
 use std::sync::Arc;
 
@@ -11,7 +12,7 @@ use biorank::mediator::Mediator;
 use biorank::prelude::*;
 use biorank::service::{
     spec_for_strategy, AdaptiveConfig, Client, Estimator, Method, QueryEngine, QueryRequest,
-    RankerSpec, ServeOptions, Server, ServerHandle, Trials,
+    RankerSpec, ServeOptions, Server, ServerHandle, Trials, DEFAULT_CACHE_CAPACITY,
 };
 
 fn fresh_engine() -> QueryEngine {
@@ -20,6 +21,16 @@ fn fresh_engine() -> QueryEngine {
         biorank_schema_with_ontology().schema,
         world.registry(),
     ))
+}
+
+/// An engine over the default world that knows the schema's compose
+/// hints, with `capacity` entries per cache layer (0: every request
+/// integrates and plans afresh).
+fn hinted_engine(capacity: usize) -> QueryEngine {
+    let world = World::generate(WorldParams::default());
+    let schema = biorank_schema_with_ontology();
+    QueryEngine::with_cache_capacity(Mediator::new(schema.schema, world.registry()), capacity)
+        .with_hints(schema.hints)
 }
 
 fn start_server() -> ServerHandle {
@@ -80,31 +91,49 @@ fn auto_resolves_to_a_strategy_and_echoes_the_plan() {
 }
 
 #[test]
-fn same_query_and_calibration_snapshot_yield_the_same_plan() {
-    // Accumulate real planner telemetry on one engine, then freeze it.
-    let teacher = fresh_engine();
-    for protein in ["GALT", "CFTR", "LPL"] {
-        teacher
-            .execute(&QueryRequest::protein_functions(protein, auto_spec()))
-            .expect("telemetry query");
+fn plans_do_not_drift_with_traffic() {
+    // Two rounds of 64 computed, planned requests with fresh seeds
+    // over several proteins, on an engine that caches nothing: every
+    // request integrates, plans and estimates from scratch.
+    let busy = hinted_engine(0);
+    let proteins = ["GALT", "CFTR", "LPL", "ABCC8"];
+    for i in 0..2 * 64 + 2 {
+        let spec = RankerSpec {
+            seed: 1_000 + i as u64,
+            ..auto_spec()
+        };
+        let resp = busy
+            .execute(&QueryRequest::protein_functions(proteins[i % 4], spec))
+            .expect("traffic query");
+        assert!(!resp.cached_scores);
     }
-    let snapshot = teacher.metrics_snapshot();
 
-    // Two fresh engines calibrated from the same snapshot must plan
-    // the same query identically — strategy, prediction, and features.
+    // The plan echo — strategy, prediction and features — is the one
+    // a fresh engine gives the same request.
     let req = QueryRequest::protein_functions("GALT", auto_spec());
-    let plans: Vec<_> = (0..2)
-        .map(|_| {
-            let engine = fresh_engine();
-            engine.recalibrate_from(&snapshot);
-            engine
-                .execute(&req)
-                .expect("planned query")
-                .plan
-                .expect("plan echo")
-        })
-        .collect();
-    assert_eq!(plans[0], plans[1]);
+    let after_traffic = busy.execute(&req).expect("busy engine").plan;
+    let fresh = hinted_engine(0).execute(&req).expect("fresh engine").plan;
+    assert!(after_traffic.is_some());
+    assert_eq!(after_traffic, fresh);
+}
+
+#[test]
+fn a_planned_request_integrates_its_query_once() {
+    let req = QueryRequest::protein_functions("GALT", auto_spec());
+
+    // No caches: the planner's integration is the only one.
+    let uncached = hinted_engine(0);
+    uncached.execute(&req).expect("uncached auto");
+    assert_eq!(uncached.stats().graphs.misses, 1);
+    assert_eq!(uncached.stats().graphs.hits, 0);
+
+    // Caches on: the first auto query misses the graph cache once and
+    // says so, with no second lookup that could pass for a hit.
+    let cached = hinted_engine(DEFAULT_CACHE_CAPACITY);
+    let first = cached.execute(&req).expect("cold auto");
+    assert_eq!(cached.stats().graphs.misses, 1);
+    assert_eq!(cached.stats().graphs.hits, 0);
+    assert!(!first.cached_graph);
 }
 
 #[test]
